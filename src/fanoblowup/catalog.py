@@ -23,7 +23,6 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .exactmath import as_rational
@@ -58,7 +57,7 @@ class EntryResult:
 
 def default_catalog_path() -> Path:
     """The catalog shipped with the package."""
-    return Path(resources.files("fanoblowup") / "data" / "default_catalog.cfg")
+    return Path(__file__).parent / "data" / "default_catalog.cfg"
 
 
 def _parse_entry(name: str, section: configparser.SectionProxy) -> CatalogEntry:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import Poly, RationalLike, as_rational, binom
+from .exactmath import Poly, RationalLike, as_rational
 
 __all__ = ["Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power", "vol_x"]
 
@@ -143,24 +143,21 @@ def top_power(c: Construction, cls: ClassPoly) -> Poly:
     """Exact top intersection power (x V_0 + y Vbar_inf + z A)^n as a Poly in t.
 
     Expanding multinomially, the mixed V_0.Vbar_inf terms and A^n vanish, and
-    the two ladders collapse to
+    each of the two ladders sum_{k=1..n} C(n,k) x^k z^(n-k) q^(k-1) is a
+    binomial expansion, so with q0 = -1/r and qinf = (1-l)/r
 
-        vol(V) * [ sum_{k=1..n} C(n,k) x^k z^(n-k) (-1/r)^(k-1)
-                 + sum_{k=1..n} C(n,k) y^k z^(n-k) ((1-l)/r)^(k-1) ].
+        vol(V) * [ ((q0 x + z)^n - z^n) / q0 + ((qinf y + z)^n - z^n) / qinf ].
 
-    The l = 1 case needs no special branch: ((1-l)/r)^0 = 1 kills every
-    ladder rung above k = 1.
+    q0 is never zero; at l = 1, where qinf = 0, only the k = 1 rung of the
+    second ladder survives and the second term is n y z^(n-1).
     """
-    n = c.n
+    n, z = c.n, cls.a
     q0 = Fraction(-1) / c.r
     qinf = (1 - c.l) / c.r
-    acc = Poly()
-    for k in range(1, n + 1):
-        zpow = cls.a ** (n - k)
-        ck = binom(n, k)
-        acc = acc + ck * q0 ** (k - 1) * cls.v0 ** k * zpow
-        acc = acc + ck * qinf ** (k - 1) * cls.vinf ** k * zpow
-    return c.vol_v * acc
+    zn = z ** n
+    ladder_0 = ((q0 * cls.v0 + z) ** n - zn) * (1 / q0)
+    ladder_inf = ((qinf * cls.vinf + z) ** n - zn) * (1 / qinf) if qinf else n * cls.vinf * z ** (n - 1)
+    return c.vol_v * (ladder_0 + ladder_inf)
 
 
 def vol_x(c: Construction) -> Fraction:

@@ -43,12 +43,16 @@ def vol_y(c: Construction) -> Fraction:
     return value(0)
 
 
-def s_invariant(c: Construction, d: HorizontalDivisor) -> Fraction:
-    """Exact S_Y(D): normalized integral of the piecewise volume profile."""
+def s_invariant(c: Construction, d: HorizontalDivisor, *, vol: Fraction | None = None) -> Fraction:
+    """Exact S_Y(D): normalized integral of the piecewise volume profile.
+
+    vol, when given, must be vol_y(c); it spares a caller that needs both S
+    invariants computing the same volume again.
+    """
     total = Fraction(0)
     for lo, hi, poly in volume_profile(c, d):
         total += poly.integrate(lo, hi)
-    return total / vol_y(c)
+    return total / (vol_y(c) if vol is None else vol)
 
 
 def beta(c: Construction, d: HorizontalDivisor) -> Fraction:
@@ -122,6 +126,11 @@ def classify(c: Construction) -> Classification:
         return ReducesToPair(coefficient_a(c.n, c.r))
     beta_zero = beta(c, HorizontalDivisor.ZERO_SECTION)
     beta_inf = beta(c, HorizontalDivisor.INFINITY_SECTION)
+    return _destabilizer(c, beta_zero, beta_inf)
+
+
+def _destabilizer(c: Construction, beta_zero: Fraction, beta_inf: Fraction) -> KUnstable:
+    """The K-unstable classification at l != 2 from the two horizontal betas."""
     assert beta_zero + beta_inf == 0
     if beta_zero < 0 < beta_inf:
         return KUnstable(HorizontalDivisor.ZERO_SECTION, beta_zero)
@@ -149,14 +158,20 @@ class InvariantReport:
 
 
 def report(c: Construction) -> InvariantReport:
-    """Compute the full invariant report for one construction."""
-    s_v0 = s_invariant(c, HorizontalDivisor.ZERO_SECTION)
-    s_vinf = s_invariant(c, HorizontalDivisor.INFINITY_SECTION)
+    """Compute the full invariant report for one construction.
+
+    vol_y and each S are computed once; the classification reuses the betas
+    (classify(c) at l = 2 computes none).
+    """
+    vol = vol_y(c)
+    s_v0 = s_invariant(c, HorizontalDivisor.ZERO_SECTION, vol=vol)
+    s_vinf = s_invariant(c, HorizontalDivisor.INFINITY_SECTION, vol=vol)
+    beta_v0, beta_vinf = 1 - s_v0, 1 - s_vinf
     return InvariantReport(
-        vol_y=vol_y(c),
+        vol_y=vol,
         s_v0=s_v0,
         s_vinf=s_vinf,
-        beta_v0=1 - s_v0,
-        beta_vinf=1 - s_vinf,
-        classification=classify(c),
+        beta_v0=beta_v0,
+        beta_vinf=beta_vinf,
+        classification=classify(c) if c.l == 2 else _destabilizer(c, beta_v0, beta_vinf),
     )

@@ -113,10 +113,11 @@ def basis_profile(c: Construction, h: HilbertFunction, m: int) -> BasisProfile:
         raise ValueError(
             f"m*r = {mr} is not an integer for m = {m}; use multiples of {c.r.denominator}"
         )
+    # N_{m,j} = N_{m,2m-j} depends on j only through |m - j|: one count per distance.
+    by_distance = [h(int(mr) - dist) for dist in range(m + 1)]
     rows = []
     for j in range(2 * m + 1):
-        degree = int(mr) - abs(m - j)
-        rows.append(ProfileRow(j=j, sections=h(degree), fixed=max(0, j - m)))
+        rows.append(ProfileRow(j=j, sections=by_distance[abs(m - j)], fixed=max(0, j - m)))
     profile = BasisProfile(m=m, rows=tuple(rows))
     assert profile.total_sections > 0
     return profile

@@ -38,6 +38,50 @@ def binom_product(n: int, k: int) -> int:
     return value.numerator
 
 
+def _coeff_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Schoolbook product of two coefficient lists (lowest degree first)."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def ladder_top_power(n: int, r: Fraction, l: Fraction, vol_v: Fraction, x, y, z) -> tuple[Fraction, ...]:
+    """(x V_0 + y Vbar_inf + z A)^n summed rung by rung over the two k-ladders,
+
+        vol(V) * sum_{k=1..n} C(n,k) z^(n-k) [ x^k (-1/r)^(k-1) + y^k ((1-l)/r)^(k-1) ],
+
+    on coefficient sequences x, y, z in t (lowest degree first), with every
+    power taken by repeated multiplication.  At l = 1 the zero ratio's 0^0 = 1
+    keeps only the k = 1 rung of the second ladder.  Trailing zeros are
+    stripped, as in Poly.coeffs.
+    """
+    q0, qinf = Fraction(-1) / r, (1 - l) / r
+
+    def powers(seq) -> list[list[Fraction]]:
+        out = [[Fraction(1)]]
+        for _ in range(n):
+            out.append(_coeff_mul(out[-1], [Fraction(v) for v in seq]))
+        return out
+
+    xs, ys, zs = powers(x), powers(y), powers(z)
+    total: list[Fraction] = []
+    for k in range(1, n + 1):
+        ck = binom_product(n, k)
+        for pw, q in ((xs, q0), (ys, qinf)):
+            scale = vol_v * ck * q ** (k - 1)
+            rung = _coeff_mul(pw[k], zs[n - k])
+            total += [Fraction(0)] * (len(rung) - len(total))
+            for i, coeff in enumerate(rung):
+                total[i] += scale * coeff
+    while total and total[-1] == 0:
+        total.pop()
+    return tuple(total)
+
+
 def naive_eval(p: Poly, x: Fraction) -> Fraction:
     """Term-by-term evaluation, independent of Horner."""
     return sum((c * x ** i for i, c in enumerate(p.coeffs)), Fraction(0))

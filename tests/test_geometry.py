@@ -5,9 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fanoblowup import ClassPoly, Construction, Poly, T, derived_classes, top_power, vol_x
+from fanoblowup import (
+    ClassPoly,
+    Construction,
+    HorizontalDivisor,
+    Poly,
+    T,
+    decompose,
+    derived_classes,
+    top_power,
+    vol_x,
+)
 
-from oracles import admissible_grid, closed_form_vol_x, closed_form_vol_y
+from oracles import admissible_grid, closed_form_vol_x, closed_form_vol_y, ladder_top_power
 
 scalars_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -101,6 +111,37 @@ class TestTopPower:
         # (x, y, z) = (1, 1-t, 1): vol = (2r^n - (r-1)^n - (r+t-1)^n)/r^{n-1}
         value = top_power(c, ClassPoly(1, 1 - T, 1))
         assert value == Poly([Fraction(6, 2), Fraction(-2, 2), Fraction(-1, 2)])
+
+
+def _assert_matches_ladder(c: Construction, cls: ClassPoly) -> None:
+    ladder = ladder_top_power(c.n, c.r, c.l, c.vol_v, cls.v0.coeffs, cls.vinf.coeffs, cls.a.coeffs)
+    assert top_power(c, cls) == Poly(ladder)
+
+
+class TestTopPowerAgainstLadder:
+    """The binomial closed form against the rung-by-rung ladder sum it replaces."""
+
+    def test_pipeline_classes_on_grid(self):
+        # The grid holds l = 0 and l = 1 (qinf = 0) alongside the generic branches.
+        for n, r, l in admissible_grid():
+            c = Construction(n, r, l, Fraction(22, 7))
+            _assert_matches_ladder(c, derived_classes(c).anti_k)
+            for d in HorizontalDivisor:
+                for seg in decompose(c, d):
+                    _assert_matches_ladder(c, seg.positive)
+
+    @pytest.mark.parametrize("l", [Fraction(0), Fraction(1), Fraction(2), Fraction(11184811, 8388608)])
+    def test_24_bit_rationals(self, l):
+        r = Fraction(16777213, 8388608)
+        cls = ClassPoly(
+            Poly([Fraction(9437183, 16777216), Fraction(-5, 3)]),
+            Poly([Fraction(1), Fraction(-12582911, 8388608)]),
+            Poly([Fraction(16777215, 12582912), Fraction(3, 16777213)]),
+        )
+        for n in (2, 3, 5, 8):
+            c = Construction(n, r, l, Fraction(16777199, 12582917))
+            _assert_matches_ladder(c, derived_classes(c).anti_k)
+            _assert_matches_ladder(c, cls)
 
 
 class TestVolX:

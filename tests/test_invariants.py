@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from fanoblowup import geometry, invariants, nef
 from fanoblowup import (
     Construction,
     HorizontalDivisor,
@@ -196,6 +198,31 @@ class TestReport:
                 beta_vinf=Fraction(1, 2),
                 classification=ReducesToPair(Fraction(1, 4)),
             )
+
+
+class TestReportWork:
+    @pytest.mark.parametrize("l", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)])
+    def test_one_vol_y_and_each_s_once(self, monkeypatch, l):
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        top = counting("top_power", geometry.top_power)
+        for module in (geometry, nef, invariants):
+            monkeypatch.setattr(module, "top_power", top)
+        monkeypatch.setattr(invariants, "s_invariant", counting("s_invariant", invariants.s_invariant))
+        report(Construction(4, Fraction(5, 2), l, Fraction(5)))
+        # vol_y once, then two segment volumes for each of the two S invariants.
+        assert counts == {"top_power": 5, "s_invariant": 2}
+
+    def test_classification_matches_classify_on_grid(self):
+        for n, r, l in admissible_grid():
+            c = Construction(n, r, l)
+            assert report(c).classification == classify(c)
 
 
 class TestQuadratureOracle:
