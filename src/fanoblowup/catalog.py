@@ -20,10 +20,10 @@ exactly this destabilizer).  Entries without expectations are report-only.
 
 from __future__ import annotations
 
-import configparser
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .exactmath import as_rational
 from .geometry import Construction
@@ -39,16 +39,14 @@ class CatalogError(Exception):
     """Malformed catalog file: syntax, unknown keys, or inadmissible parameters."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     construction: Construction
     expect_a: Fraction | None = None
     expect_destabilizer: HorizontalDivisor | None = None
 
 
-@dataclass(frozen=True)
-class EntryResult:
+class EntryResult(NamedTuple):
     entry: CatalogEntry
     report: InvariantReport
     passed: bool
@@ -60,7 +58,7 @@ def default_catalog_path() -> Path:
     return Path(__file__).parent / "data" / "default_catalog.cfg"
 
 
-def _parse_entry(name: str, section: configparser.SectionProxy) -> CatalogEntry:
+def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
     unknown = set(section) - _KNOWN_KEYS
     if unknown:
         raise CatalogError(f"entry [{name}]: unknown key(s) {sorted(unknown)}")
@@ -95,6 +93,8 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
 
     Raises CatalogError with the parser's line information on syntax errors.
     """
+    import configparser  # only catalog runs parse INI; keeps it off every CLI start-up
+
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
         with open(path, encoding="utf-8") as handle:

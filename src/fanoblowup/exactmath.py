@@ -24,8 +24,11 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, string like ``"3/2"``, or Fraction to an exact Fraction.
 
     Floats are rejected: silently converting a binary float would smuggle
-    rounding into an exact pipeline.
+    rounding into an exact pipeline.  An exact Fraction (not a subclass) is
+    returned as it is, since Fractions are immutable.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an exact rational (int, Fraction, or 'p/q')")
     return Fraction(value)

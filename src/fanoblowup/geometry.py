@@ -22,16 +22,22 @@ top-power functional these rules define.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactmath import Poly, RationalLike, as_rational
 
 __all__ = ["Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power", "vol_x"]
 
 
-@dataclass(frozen=True)
-class Construction:
+class _ConstructionFields(NamedTuple):
+    n: int
+    r: Fraction
+    l: Fraction
+    vol_v: Fraction
+
+
+class Construction(_ConstructionFields):
     """Parameters (n, r, l, vol_v) of the blow-up Y.
 
     n      dimension of Y (>= 2); the base V has dimension n-1
@@ -40,23 +46,24 @@ class Construction:
     vol_v  anti-canonical volume (-K_V)^(n-1) of the base, > 0
     """
 
-    n: int
-    r: Fraction
-    l: Fraction
-    vol_v: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "r", as_rational(self.r))
-        object.__setattr__(self, "l", as_rational(self.l))
-        object.__setattr__(self, "vol_v", as_rational(self.vol_v))
-        if self.r <= 1:
-            raise ValueError(f"r must exceed 1, got {self.r}")
-        if not (0 <= self.l < self.r + 1):
-            raise ValueError(f"l must satisfy 0 <= l < r+1 = {self.r + 1}, got {self.l}")
-        if self.vol_v <= 0:
-            raise ValueError(f"vol_v must be positive, got {self.vol_v}")
+    def __new__(cls, n: int, r: RationalLike, l: RationalLike, vol_v: RationalLike = 1) -> "Construction":
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        r, l, vol_v = as_rational(r), as_rational(l), as_rational(vol_v)
+        if r <= 1:
+            raise ValueError(f"r must exceed 1, got {r}")
+        if not (0 <= l < r + 1):
+            raise ValueError(f"l must satisfy 0 <= l < r+1 = {r + 1}, got {l}")
+        if vol_v <= 0:
+            raise ValueError(f"vol_v must be positive, got {vol_v}")
+        return super().__new__(cls, n, r, l, vol_v)
+
+    @classmethod
+    def _make(cls, fields) -> "Construction":
+        # _replace builds through _make; route it through the checks above.
+        return cls(*fields)
 
 
 def _as_poly(value: Poly | RationalLike) -> Poly:
@@ -65,22 +72,27 @@ def _as_poly(value: Poly | RationalLike) -> Poly:
     return Poly.constant(as_rational(value))
 
 
-@dataclass(frozen=True)
-class ClassPoly:
+class _ClassPolyFields(NamedTuple):
+    v0: Poly
+    vinf: Poly
+    a: Poly
+
+
+class ClassPoly(_ClassPolyFields):
     """A divisor class x*V_0 + y*Vbar_inf + z*A with Poly coefficients.
 
     Coefficients may depend on the Zariski parameter t; constant classes carry
     degree-0 polynomials.  Addition and scaling are componentwise.
     """
 
-    v0: Poly
-    vinf: Poly
-    a: Poly
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v0", _as_poly(self.v0))
-        object.__setattr__(self, "vinf", _as_poly(self.vinf))
-        object.__setattr__(self, "a", _as_poly(self.a))
+    def __new__(cls, v0: Poly | RationalLike, vinf: Poly | RationalLike, a: Poly | RationalLike) -> "ClassPoly":
+        return super().__new__(cls, _as_poly(v0), _as_poly(vinf), _as_poly(a))
+
+    @classmethod
+    def _make(cls, fields) -> "ClassPoly":
+        return cls(*fields)
 
     @staticmethod
     def zero() -> "ClassPoly":
@@ -109,8 +121,7 @@ class ClassPoly:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class DerivedClasses:
+class DerivedClasses(NamedTuple):
     """Named classes derived from the basis: H, E, F and -K_Y."""
 
     h: ClassPoly

@@ -13,9 +13,8 @@ corresponding divisor destabilizes Y.  Everything here is an exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .exactmath import RationalLike, as_rational
 from .geometry import Construction, derived_classes, top_power
@@ -87,8 +86,7 @@ def futaki_check(c: Construction) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ReducesToPair:
+class ReducesToPair(NamedTuple):
     """l = 2: K-stability of Y is equivalent to that of the pair (V, aB)."""
 
     a: Fraction
@@ -99,8 +97,7 @@ class ReducesToPair:
         return f"{self.kind} a={self.a}"
 
 
-@dataclass(frozen=True)
-class KUnstable:
+class KUnstable(NamedTuple):
     """l != 2: Y is K-unstable, destabilized by the divisor with beta < 0."""
 
     destabilizer: HorizontalDivisor
@@ -139,10 +136,7 @@ def _destabilizer(c: Construction, beta_zero: Fraction, beta_inf: Fraction) -> K
     raise ArithmeticError(f"no strictly negative beta at l = {c.l}; betas are {beta_zero}, {beta_inf}")
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """All exact invariants of one construction, with their coupled identities."""
-
+class _InvariantReportFields(NamedTuple):
     vol_y: Fraction
     s_v0: Fraction
     s_vinf: Fraction
@@ -150,11 +144,23 @@ class InvariantReport:
     beta_vinf: Fraction
     classification: Classification
 
-    def __post_init__(self) -> None:
+
+class InvariantReport(_InvariantReportFields):
+    """All exact invariants of one construction, with their coupled identities."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "InvariantReport":
+        self = super().__new__(cls, *args, **kwargs)
         if self.beta_v0 != 1 - self.s_v0 or self.beta_vinf != 1 - self.s_vinf:
             raise ValueError("beta must equal 1 - S for a prime divisor")
         if self.beta_v0 + self.beta_vinf != 0:
             raise ValueError("horizontal betas must sum to zero")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "InvariantReport":
+        return cls(*fields)
 
 
 def report(c: Construction) -> InvariantReport:

@@ -13,8 +13,8 @@ monotonicity) guard each call against transcription errors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactmath import Poly, T
 from .geometry import ClassPoly, Construction, derived_classes, top_power
@@ -33,8 +33,7 @@ class HorizontalDivisor(enum.Enum):
     INFINITY_SECTION = "infinity-section"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One piece [t_lo, t_hi] of a Zariski decomposition.
 
     positive + negative equals -K_Y - t*D as an identity of ClassPoly

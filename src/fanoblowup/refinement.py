@@ -18,7 +18,6 @@ without touching the summation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
+class HilbertFunction(NamedTuple):
     """Section-dimension counter k -> dim H^0(V, kL) for one polarized base.
 
     dim is the dimension of V and index the proportionality r with
@@ -49,7 +47,7 @@ class HilbertFunction:
     description: str
     dim: int
     index: Fraction
-    h: Callable[[int], int] = field(compare=False)
+    h: Callable[[int], int]
 
     def __call__(self, k: int) -> int:
         if k < 0:
@@ -75,8 +73,7 @@ class ProfileRow(NamedTuple):
     fixed: int     # a_{m,j}, multiple of B split off as fixed part
 
 
-@dataclass(frozen=True)
-class BasisProfile:
+class BasisProfile(NamedTuple):
     """Weight-by-weight refinement data (N_{m,j}, a_{m,j}) at level m."""
 
     m: int

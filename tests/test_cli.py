@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,18 @@ class TestGlobalFlags:
         code, out, _ = run(capsys, "--json", "coeff", "--dim", "4", "--index", "2")
         assert code == 0
         assert json.loads(out)["a"] == "13/75"
+
+
+class TestImportCost:
+    def test_import_leaves_out_slow_stdlib_modules(self):
+        """Every CLI call pays for the import: no dataclasses (it pulls in inspect) or configparser."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = "import sys, fanoblowup.cli; print(sorted({'dataclasses', 'inspect', 'configparser'} & set(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"

@@ -46,6 +46,15 @@ class TestRational:
         q = as_rational(Fraction(3, -6))
         assert (q.numerator, q.denominator) == (-1, 2)
 
+    def test_exact_fraction_passes_through(self):
+        q = Fraction(3, 2)
+        assert as_rational(q) is q
+
+        class Half(Fraction):
+            pass
+
+        assert type(as_rational(Half(1, 2))) is Fraction
+
     def test_comparison_is_exact(self):
         assert as_rational("1/3") * 3 == 1
         assert Fraction(10 ** 40, 3) - Fraction(10 ** 40 - 1, 3) == Fraction(1, 3)

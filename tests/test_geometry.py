@@ -51,6 +51,29 @@ class TestConstructionValidation:
         with pytest.raises(TypeError):
             Construction(3, 1.5, 2)
 
+    def test_keyword_strings_coerce_to_fraction(self):
+        # The catalog builds constructions by keyword from the strings it parsed.
+        c = Construction(n=3, r="3/2", l="1/2", vol_v="22/7")
+        assert (c.r, c.l, c.vol_v) == (Fraction(3, 2), Fraction(1, 2), Fraction(22, 7))
+        assert all(type(value) is Fraction for value in (c.r, c.l, c.vol_v, Construction(3, 2, 2).vol_v))
+
+    def test_replace_is_checked(self):
+        c = Construction(3, 2, 2)
+        assert c._replace(l="1/2") == Construction(3, 2, Fraction(1, 2))
+        with pytest.raises(ValueError):
+            c._replace(n=1)
+
+
+class TestClassPoly:
+    def test_scalar_fields_equal_and_hash_like_polys(self):
+        scalar = ClassPoly(1, 0, Fraction(1, 3))
+        built = ClassPoly(Poly([1]), Poly(), Poly([Fraction(1, 3)]))
+        assert scalar == built
+        assert hash(scalar) == hash(built)
+
+    def test_replace_coerces(self):
+        assert ClassPoly(1, 0, 0)._replace(a="1/2") == ClassPoly(1, 0, Fraction(1, 2))
+
 
 class TestDerivedClasses:
     def test_anti_k_is_sum_of_basis(self):

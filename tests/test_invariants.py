@@ -179,6 +179,11 @@ class TestReport:
         rep = report(Construction(2, 3, 1, 1))
         assert rep.beta_v0 + rep.beta_vinf == 0
 
+    def test_replace_is_checked(self):
+        rep = report(Construction(3, 2, 0))
+        with pytest.raises(ValueError):
+            rep._replace(beta_v0=rep.beta_v0 + 1)
+
     def test_report_rejects_inconsistent_fields(self):
         with pytest.raises(ValueError):
             InvariantReport(
