@@ -10,7 +10,7 @@ K-unstable / reduces-to-pair classification.
 """
 
 from .catalog import CatalogEntry, CatalogError, EntryResult, default_catalog_path, load_catalog, run_catalog
-from .exactmath import ONE, T, ZERO, Poly, Rational, as_rational, binom
+from .exactmath import ONE, T, ZERO, Poly, Rational, as_rational
 from .geometry import ClassPoly, Construction, DerivedClasses, derived_classes, top_power, vol_x
 from .invariants import (
     Classification,
@@ -20,7 +20,6 @@ from .invariants import (
     beta,
     classify,
     coefficient_a,
-    futaki_check,
     report,
     s_invariant,
     vol_y,
@@ -40,10 +39,10 @@ from .refinement import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational", "Poly", "ZERO", "ONE", "T", "as_rational", "binom",
+    "Rational", "Poly", "ZERO", "ONE", "T", "as_rational",
     "Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power", "vol_x",
     "HorizontalDivisor", "Segment", "decompose", "volume_profile",
-    "vol_y", "s_invariant", "beta", "coefficient_a", "futaki_check",
+    "vol_y", "s_invariant", "beta", "coefficient_a",
     "ReducesToPair", "KUnstable", "Classification", "InvariantReport", "classify", "report",
     "HilbertFunction", "hilbert_projective_space", "ProfileRow", "BasisProfile",
     "basis_profile", "a_m", "ConvergenceRow", "convergence_table",

@@ -16,6 +16,8 @@ default 1), and the optional expectations ``expect_a`` (the entry must reduce
 to a pair with exactly this coefficient) and ``expect_destabilizer``
 (``zero-section`` or ``infinity-section``; the entry must be K-unstable with
 exactly this destabilizer).  Entries without expectations are report-only.
+A ``;`` after a value starts a comment.  ``[DEFAULT]`` is refused: INI
+readers merge its keys into every other section.
 """
 
 from __future__ import annotations
@@ -91,11 +93,16 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
 def load_catalog(path: str | Path) -> list[CatalogEntry]:
     """Parse a catalog file into ordered entries.
 
-    Raises CatalogError with the parser's line information on syntax errors.
+    Raises CatalogError with the parser's line information on syntax errors,
+    and for a section named DEFAULT, whose keys the INI format would merge
+    into every other entry.
     """
     import configparser  # only catalog runs parse INI; keeps it off every CLI start-up
 
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    # No section header can be "\n", so [DEFAULT] is read as a section of its own.
+    parser = configparser.ConfigParser(
+        interpolation=None, strict=True, default_section="\n", inline_comment_prefixes=(";",)
+    )
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
@@ -103,6 +110,8 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     except configparser.Error as exc:
         raise CatalogError(f"catalog parse error: {exc}") from exc
+    if parser.has_section("DEFAULT"):
+        raise CatalogError(f"{path}: section [DEFAULT] is reserved in INI files; give the entry another name")
     return [_parse_entry(name, parser[name]) for name in parser.sections()]
 
 

@@ -10,14 +10,13 @@ exact definite integration.  No floating point enters anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Union
 
 Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
-__all__ = ["Rational", "RationalLike", "as_rational", "binom", "Poly", "ZERO", "ONE", "T"]
+__all__ = ["Rational", "RationalLike", "as_rational", "Poly", "ZERO", "ONE", "T"]
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -32,11 +31,6 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an exact rational (int, Fraction, or 'p/q')")
     return Fraction(value)
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 when k > n, error on negative input."""
-    return comb(n, k)
 
 
 class Poly:
@@ -56,15 +50,11 @@ class Poly:
         self._coeffs: tuple[Fraction, ...] = tuple(cs)
 
     @staticmethod
-    def constant(value: RationalLike) -> "Poly":
-        return Poly([as_rational(value)])
-
-    @staticmethod
     def _coerce(value) -> "Poly | None":
         if isinstance(value, Poly):
             return value
         if isinstance(value, (int, Fraction)):
-            return Poly.constant(value)
+            return Poly((value,))
         return None
 
     @property
@@ -172,21 +162,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self._coeffs]})"
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 ZERO = Poly()

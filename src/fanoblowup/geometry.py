@@ -67,9 +67,7 @@ class Construction(_ConstructionFields):
 
 
 def _as_poly(value: Poly | RationalLike) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    return Poly.constant(as_rational(value))
+    return value if isinstance(value, Poly) else Poly((value,))
 
 
 class _ClassPolyFields(NamedTuple):
@@ -110,9 +108,6 @@ class ClassPoly(_ClassPolyFields):
         if not isinstance(other, ClassPoly):
             return NotImplemented
         return ClassPoly(self.v0 - other.v0, self.vinf - other.vinf, self.a - other.a)
-
-    def __neg__(self) -> "ClassPoly":
-        return ClassPoly(-self.v0, -self.vinf, -self.a)
 
     def __mul__(self, scale: Poly | RationalLike) -> "ClassPoly":
         s = _as_poly(scale)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .exactmath import RationalLike, as_rational
+from .exactmath import RationalLike
 from .geometry import Construction, derived_classes, top_power
 from .nef import HorizontalDivisor, volume_profile
 
@@ -25,7 +25,6 @@ __all__ = [
     "s_invariant",
     "beta",
     "coefficient_a",
-    "futaki_check",
     "ReducesToPair",
     "KUnstable",
     "Classification",
@@ -64,26 +63,12 @@ def coefficient_a(n: int, r: RationalLike) -> Fraction:
 
         a(n,r) = (r^(n+1) - (r-1)^(n+1) - (n+1)(r-1)^n) / (2(n+1)(r^n - (r-1)^n))
 
-    Always lies in (0, 1/2).
+    Always lies in (0, 1/2).  (n, r) must satisfy Construction's checks.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    r = as_rational(r)
-    if r <= 1:
-        raise ValueError(f"r must exceed 1, got {r}")
+    r = Construction(n, r, 2).r
     num = r ** (n + 1) - (r - 1) ** (n + 1) - (n + 1) * (r - 1) ** n
     den = 2 * (n + 1) * (r ** n - (r - 1) ** n)
     return num / den
-
-
-def futaki_check(c: Construction) -> bool:
-    """True iff both horizontal betas vanish exactly.  Only meaningful at l = 2."""
-    if c.l != 2:
-        raise ValueError(f"Futaki vanishing is only claimed at l = 2, got l = {c.l}")
-    return (
-        beta(c, HorizontalDivisor.ZERO_SECTION) == 0
-        and beta(c, HorizontalDivisor.INFINITY_SECTION) == 0
-    )
 
 
 class ReducesToPair(NamedTuple):
@@ -113,27 +98,8 @@ Classification = Union[ReducesToPair, KUnstable]
 
 
 def classify(c: Construction) -> Classification:
-    """Classify Y: reduces-to-pair at l = 2, otherwise K-unstable.
-
-    The destabilizer is chosen by the exact sign of the computed betas, never
-    by a precomputed rule; exactly one of the two is strictly negative since
-    they sum to zero and are nonzero for l != 2.
-    """
-    if c.l == 2:
-        return ReducesToPair(coefficient_a(c.n, c.r))
-    beta_zero = beta(c, HorizontalDivisor.ZERO_SECTION)
-    beta_inf = beta(c, HorizontalDivisor.INFINITY_SECTION)
-    return _destabilizer(c, beta_zero, beta_inf)
-
-
-def _destabilizer(c: Construction, beta_zero: Fraction, beta_inf: Fraction) -> KUnstable:
-    """The K-unstable classification at l != 2 from the two horizontal betas."""
-    assert beta_zero + beta_inf == 0
-    if beta_zero < 0 < beta_inf:
-        return KUnstable(HorizontalDivisor.ZERO_SECTION, beta_zero)
-    if beta_inf < 0 < beta_zero:
-        return KUnstable(HorizontalDivisor.INFINITY_SECTION, beta_inf)
-    raise ArithmeticError(f"no strictly negative beta at l = {c.l}; betas are {beta_zero}, {beta_inf}")
+    """The classification of report(c): reduces-to-pair at l = 2, otherwise K-unstable."""
+    return report(c).classification
 
 
 class _InvariantReportFields(NamedTuple):
@@ -166,18 +132,32 @@ class InvariantReport(_InvariantReportFields):
 def report(c: Construction) -> InvariantReport:
     """Compute the full invariant report for one construction.
 
-    vol_y and each S are computed once; the classification reuses the betas
-    (classify(c) at l = 2 computes none).
+    vol_y and each S are computed once, and the classification is decided
+    from the exact signs of the computed betas, never by a precomputed rule.
+    At l = 2 both betas must vanish (Futaki vanishing) and Y reduces to the
+    pair (V, aB); otherwise exactly one beta is strictly negative, since they
+    sum to zero, and that divisor destabilizes Y.  Either claim failing
+    raises ArithmeticError.
     """
     vol = vol_y(c)
     s_v0 = s_invariant(c, HorizontalDivisor.ZERO_SECTION, vol=vol)
     s_vinf = s_invariant(c, HorizontalDivisor.INFINITY_SECTION, vol=vol)
     beta_v0, beta_vinf = 1 - s_v0, 1 - s_vinf
+    if c.l == 2:
+        if beta_v0 or beta_vinf:
+            raise ArithmeticError(f"betas do not vanish at l = 2; betas are {beta_v0}, {beta_vinf}")
+        classification = ReducesToPair(coefficient_a(c.n, c.r))
+    elif beta_v0 < 0 < beta_vinf:
+        classification = KUnstable(HorizontalDivisor.ZERO_SECTION, beta_v0)
+    elif beta_vinf < 0 < beta_v0:
+        classification = KUnstable(HorizontalDivisor.INFINITY_SECTION, beta_vinf)
+    else:
+        raise ArithmeticError(f"no strictly negative beta at l = {c.l}; betas are {beta_v0}, {beta_vinf}")
     return InvariantReport(
         vol_y=vol,
         s_v0=s_v0,
         s_vinf=s_vinf,
         beta_v0=beta_v0,
         beta_vinf=beta_vinf,
-        classification=classify(c) if c.l == 2 else _destabilizer(c, beta_v0, beta_vinf),
+        classification=classification,
     )

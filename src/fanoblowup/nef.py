@@ -4,10 +4,11 @@ The only horizontal divisors on Y are the zero section V_0 and the strict
 transform Vbar_inf of the infinity section.  For both, -K_Y - t*D is nef on
 [0, 1]; on [1, 2] a multiple of the contracted divisor (E for Vbar_inf, F for
 V_0) splits off as the rigid negative part, and the pseudo-effective
-threshold is t = 2.  The decomposition is transcribed as closed data rather
-than computed by a nef-cone algorithm; cheap exact checks (the class identity
-P + N = -K_Y - t*D, continuity at t = 1, vanishing at t = 2, sampled
-monotonicity) guard each call against transcription errors.
+threshold is t = 2.  Only the negative part is transcribed, as closed data
+rather than computed by a nef-cone algorithm; the positive part is derived
+from it.  Cheap exact checks on the volume profile (continuity at t = 1,
+vanishing at t = 2, sampled monotonicity) guard each call against
+transcription errors.
 """
 
 from __future__ import annotations
@@ -56,42 +57,24 @@ def _divisor_class(d: HorizontalDivisor) -> ClassPoly:
 def decompose(c: Construction, d: HorizontalDivisor) -> list[Segment]:
     """Zariski decomposition of -K_Y - t*D, as two segments covering [0, 2].
 
-    For D = Vbar_inf:
-        [0,1]  P = V_0 + (1-t) Vbar_inf + A                  N = 0
-        [1,2]  P = (2-t) V_0 + ((r+1-t)/r) A                 N = (t-1) E
-    For D = V_0:
-        [0,1]  P = (1-t) V_0 + Vbar_inf + A                  N = 0
-        [1,2]  P = (2-t) Vbar_inf + ((r-(t-1)(l-1))/r) A     N = (t-1) F
+    The negative part is N = 0 on [0, 1], and on [1, 2] it is N = (t-1) E for
+    D = Vbar_inf and N = (t-1) F for D = V_0.  The positive part is
+    P = -K_Y - t*D - N, so P + N = -K_Y - t*D holds by construction.  On [1, 2]
+    this gives
+        D = Vbar_inf:  P = (2-t) V_0 + ((r+1-t)/r) A
+        D = V_0:       P = (2-t) Vbar_inf + ((r-(t-1)(l-1))/r) A
 
     The same formulas serve every admissible l, including l = 1 and the
     degenerate l = 0 bundle case.
     """
-    r, l = c.r, c.l
     der = derived_classes(c)
-    one_minus_t = 1 - T
-    two_minus_t = 2 - T
-    t_minus_one = T - 1
-
-    if d is HorizontalDivisor.INFINITY_SECTION:
-        p1 = ClassPoly(Poly([1]), one_minus_t, Poly([1]))
-        p2 = ClassPoly(two_minus_t, Poly(), (Poly([r + 1]) - T) * (Fraction(1) / r))
-        n2 = der.e * t_minus_one
-    else:
-        p1 = ClassPoly(one_minus_t, Poly([1]), Poly([1]))
-        p2 = ClassPoly(Poly(), two_minus_t, (Poly([r]) - t_minus_one * (l - 1)) * (Fraction(1) / r))
-        n2 = der.f * t_minus_one
-
-    segments = [
-        Segment(Fraction(0), BREAK, p1, ClassPoly.zero()),
-        Segment(BREAK, TAU, p2, n2),
+    contracted = der.e if d is HorizontalDivisor.INFINITY_SECTION else der.f
+    k_minus_td = der.anti_k - _divisor_class(d) * T
+    negative = contracted * (T - 1)
+    return [
+        Segment(Fraction(0), BREAK, k_minus_td, ClassPoly.zero()),
+        Segment(BREAK, TAU, k_minus_td - negative, negative),
     ]
-
-    # Transcription guard: P + N + t*D = -K_Y coefficientwise on each segment.
-    dcls = _divisor_class(d)
-    for seg in segments:
-        total = seg.positive + seg.negative + dcls * T
-        assert total == der.anti_k, f"Zariski pieces do not sum to -K_Y - t*D on [{seg.t_lo}, {seg.t_hi}]"
-    return segments
 
 
 def volume_profile(c: Construction, d: HorizontalDivisor) -> list[tuple[Fraction, Fraction, Poly]]:

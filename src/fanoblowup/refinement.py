@@ -19,9 +19,9 @@ without touching the summation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterable, NamedTuple
 
-from .exactmath import binom
 from .geometry import Construction
 from .invariants import coefficient_a
 
@@ -63,7 +63,7 @@ def hilbert_projective_space(s: int, d: int) -> HilbertFunction:
         description=f"P^{s} with L = O({d})",
         dim=s,
         index=Fraction(s + 1, d),
-        h=lambda k: binom(k * d + s, s),
+        h=lambda k: comb(k * d + s, s),
     )
 
 

@@ -159,6 +159,34 @@ class TestCatalog:
         assert code == 2
         assert "cannot read catalog" in err
 
+    def test_default_section_alone_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "default.cfg"
+        path.write_text(PAIR_ENTRY.replace("family-4.2", "DEFAULT").format(expected="1/2"), encoding="utf-8")
+        code, out, err = run(capsys, "catalog", str(path))
+        assert code == 2
+        assert "[DEFAULT]" in err and out == ""
+
+    def test_default_section_beside_entry_exits_2(self, tmp_path, capsys):
+        # Read as INI defaults, these keys would leak into the 3.31 entry and fail it.
+        path = tmp_path / "default_and_331.cfg"
+        path.write_text(
+            PAIR_ENTRY.replace("family-4.2", "DEFAULT").format(expected="1/2")
+            + "\n[family-3.31]\nn = 3\nr = 3\nl = 1\nexpect_destabilizer = zero-section\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "catalog", str(path))
+        assert code == 2
+        assert "[DEFAULT]" in err and out == ""
+
+    def test_readme_example_passes(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block, encoding="utf-8")
+        code, out, _ = run(capsys, "catalog", str(path))
+        assert code == 0
+        assert "PASS family-4.2" in out
+
 
 class TestRefine:
     def test_rows_text(self, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from fanoblowup import ONE, T, ZERO, Poly, as_rational, binom
+from fanoblowup import ONE, T, ZERO, Poly, as_rational, hilbert_projective_space
 
 from oracles import binom_product, naive_eval
 
@@ -16,27 +16,12 @@ polys_st = st.lists(fractions_st, max_size=6).map(Poly)
 
 
 class TestBinom:
-    def test_small_pascal(self):
-        assert binom(5, 2) == 10
-
-    def test_k_zero(self):
-        for n in range(0, 40, 7):
-            assert binom(n, 0) == 1
-
-    def test_k_larger_than_n(self):
-        assert binom(4, 9) == 0
-
-    def test_rejects_negative_arguments(self):
-        with pytest.raises(ValueError):
-            binom(-1, 2)
-        with pytest.raises(ValueError):
-            binom(3, -2)
-
     def test_against_product_formula(self):
-        assert binom(60, 30) == binom_product(60, 30)
-        for n in range(0, 25):
-            for k in range(0, n + 2):
-                assert binom(n, k) == binom_product(n, k)
+        for s in range(1, 8):
+            h = hilbert_projective_space(s, 1)
+            for k in range(0, 25):
+                assert h(k) == binom_product(k + s, s)
+        assert hilbert_projective_space(30, 1)(30) == binom_product(60, 30)
 
 
 class TestRational:

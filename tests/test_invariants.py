@@ -15,7 +15,6 @@ from fanoblowup import (
     beta,
     classify,
     coefficient_a,
-    futaki_check,
     report,
     s_invariant,
     vol_y,
@@ -126,11 +125,18 @@ class TestCoefficientA:
 class TestFutakiCheck:
     @pytest.mark.parametrize("n,r,vol_v", [(3, Fraction(2), 8), (5, Fraction(5, 4), 1), (4, Fraction(3), 2)])
     def test_vanishes_at_l2(self, n, r, vol_v):
-        assert futaki_check(Construction(n, r, 2, Fraction(vol_v)))
+        rep = report(Construction(n, r, 2, Fraction(vol_v)))
+        assert isinstance(rep.classification, ReducesToPair)
+        assert rep.beta_v0 == rep.beta_vinf == 0
 
-    def test_rejects_other_l(self):
-        with pytest.raises(ValueError):
-            futaki_check(Construction(3, 3, 3))
+    def test_nonvanishing_beta_at_l2_raises(self, monkeypatch):
+        # Both betas at -1/10**30 sum to nonzero too; the l = 2 check must fire first.
+        monkeypatch.setattr(invariants, "s_invariant", lambda c, d, vol=None: 1 + Fraction(1, 10 ** 30))
+        c = Construction(3, 2, 2, 8)
+        with pytest.raises(ArithmeticError, match="l = 2"):
+            report(c)
+        with pytest.raises(ArithmeticError, match="l = 2"):
+            classify(c)
 
 
 class TestClassify:
