@@ -10,7 +10,7 @@ K-unstable / reduces-to-pair classification.
 """
 
 from .catalog import CatalogEntry, CatalogError, EntryResult, default_catalog_path, load_catalog, run_catalog
-from .exactmath import ONE, T, ZERO, Poly, Rational, as_rational
+from .exactmath import ONE, T, ZERO, InvariantViolation, Poly, Rational, as_rational
 from .geometry import ClassPoly, Construction, DerivedClasses, derived_classes, top_power, vol_x
 from .invariants import (
     Classification,
@@ -39,7 +39,7 @@ from .refinement import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational", "Poly", "ZERO", "ONE", "T", "as_rational",
+    "Rational", "Poly", "ZERO", "ONE", "T", "as_rational", "InvariantViolation",
     "Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power", "vol_x",
     "HorizontalDivisor", "Segment", "decompose", "volume_profile",
     "vol_y", "s_invariant", "beta", "coefficient_a",

@@ -9,7 +9,8 @@ Subcommands:
 Flags --json (machine-readable output, one document per run) and --quiet
 (suppress non-essential text) are accepted globally or per subcommand.
 Rationals cross the boundary as exact "p/q" strings; decimals are display
-only.  Exit codes: 0 success, 1 expectation mismatch, 2 invalid input.
+only.  Exit codes: 0 success, 1 expectation mismatch, 2 invalid input,
+3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .catalog import CatalogError, default_catalog_path, load_catalog, run_catalog
-from .exactmath import as_rational
+from .exactmath import InvariantViolation, as_rational
 from .geometry import Construction
 from .invariants import InvariantReport, KUnstable, ReducesToPair, coefficient_a, report
 from .refinement import HilbertFunction, convergence_table, hilbert_projective_space
 
 __all__ = ["main", "entrypoint"]
 
-OK, MISMATCH, INVALID = 0, 1, 2
+OK, MISMATCH, INVALID, INTERNAL = 0, 1, 2, 3
 
 
 def _decimal(value: Fraction, digits: int = 12) -> str:
@@ -220,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL
     except (ValueError, CatalogError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID

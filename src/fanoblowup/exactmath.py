@@ -4,19 +4,30 @@ Every scalar in this package is a ``fractions.Fraction`` (arbitrary precision,
 always normalized, exact comparisons).  Polynomials are dense coefficient
 tuples over those rationals, in the single variable ``t`` used by the Zariski
 decompositions; they support exact ring arithmetic, Horner evaluation and
-exact definite integration.  No floating point enters anywhere in this module.
+exact definite integration.  Evaluation and integration run on plain integers
+over one common denominator and normalize once, into a single Fraction.  No
+floating point enters anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
-__all__ = ["Rational", "RationalLike", "as_rational", "Poly", "ZERO", "ONE", "T"]
+__all__ = ["Rational", "RationalLike", "InvariantViolation", "as_rational", "Poly", "ZERO", "ONE", "T"]
+
+
+class InvariantViolation(ArithmeticError):
+    """An exact identity that a correct computation satisfies has failed.
+
+    Raised by explicit checks, never by ``assert``, so it also fires under
+    ``python -O``; it signals an internal fault, not invalid input.
+    """
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -31,6 +42,23 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an exact rational (int, Fraction, or 'p/q')")
     return Fraction(value)
+
+
+def _horner(pairs: Iterable[tuple[int, int]], a: int, b: int) -> tuple[int, int]:
+    """Horner's rule at a/b (b > 0) on the coefficients p/q given as integer
+    pairs (p, q), leading one first.  Returns the value as an unreduced
+    numerator and positive denominator; each step widens the denominator only
+    by the part of q it does not already contain.
+    """
+    num, den = 0, 1
+    for p, q in pairs:
+        num *= a
+        den *= b
+        g = gcd(den, q)
+        s = q // g
+        num = num * s + p * (den // g)
+        den *= s
+    return num, den
 
 
 class Poly:
@@ -141,24 +169,29 @@ class Poly:
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact evaluation at x by Horner's rule."""
         x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        pairs = ((c.numerator, c.denominator) for c in reversed(self._coeffs))
+        return Fraction(*_horner(pairs, x.numerator, x.denominator))
 
     def integrate(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         """Exact definite integral over [lo, hi].
 
-        Evaluates the antiderivative difference sum c_i (hi^{i+1} - lo^{i+1})/(i+1).
+        The antiderivative sum c_i x^{i+1}/(i+1) is x G(x) / m, where m is
+        lcm(1..d+1) and G has the coefficients c_i m/(i+1); G is evaluated at
+        hi and at lo by the integer Horner kernel.
         """
         lo, hi = as_rational(lo), as_rational(hi)
         if lo > hi:
             raise ValueError(f"integration bounds out of order: {lo} > {hi}")
-        total = Fraction(0)
-        for i, c in enumerate(self._coeffs):
-            if c:
-                total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
-        return total
+        cs = self._coeffs
+        m = lcm(*range(1, len(cs) + 1))
+        pairs = [(cs[i].numerator * (m // (i + 1)), cs[i].denominator) for i in reversed(range(len(cs)))]
+        g_hi, e_hi = _horner(pairs, hi.numerator, hi.denominator)
+        g_lo, e_lo = _horner(pairs, lo.numerator, lo.denominator)
+        # (hi G(hi) - lo G(lo)) / m, over one common denominator
+        return Fraction(
+            hi.numerator * g_hi * lo.denominator * e_lo - lo.numerator * g_lo * hi.denominator * e_hi,
+            hi.denominator * e_hi * lo.denominator * e_lo * m,
+        )
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self._coeffs]})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .exactmath import RationalLike
+from .exactmath import InvariantViolation, RationalLike
 from .geometry import Construction, derived_classes, top_power
 from .nef import HorizontalDivisor, volume_profile
 
@@ -137,7 +137,7 @@ def report(c: Construction) -> InvariantReport:
     At l = 2 both betas must vanish (Futaki vanishing) and Y reduces to the
     pair (V, aB); otherwise exactly one beta is strictly negative, since they
     sum to zero, and that divisor destabilizes Y.  Either claim failing
-    raises ArithmeticError.
+    raises InvariantViolation.
     """
     vol = vol_y(c)
     s_v0 = s_invariant(c, HorizontalDivisor.ZERO_SECTION, vol=vol)
@@ -145,14 +145,14 @@ def report(c: Construction) -> InvariantReport:
     beta_v0, beta_vinf = 1 - s_v0, 1 - s_vinf
     if c.l == 2:
         if beta_v0 or beta_vinf:
-            raise ArithmeticError(f"betas do not vanish at l = 2; betas are {beta_v0}, {beta_vinf}")
+            raise InvariantViolation(f"betas do not vanish at l = 2; betas are {beta_v0}, {beta_vinf}")
         classification = ReducesToPair(coefficient_a(c.n, c.r))
     elif beta_v0 < 0 < beta_vinf:
         classification = KUnstable(HorizontalDivisor.ZERO_SECTION, beta_v0)
     elif beta_vinf < 0 < beta_v0:
         classification = KUnstable(HorizontalDivisor.INFINITY_SECTION, beta_vinf)
     else:
-        raise ArithmeticError(f"no strictly negative beta at l = {c.l}; betas are {beta_v0}, {beta_vinf}")
+        raise InvariantViolation(f"no strictly negative beta at l = {c.l}; betas are {beta_v0}, {beta_vinf}")
     return InvariantReport(
         vol_y=vol,
         s_v0=s_v0,

@@ -17,7 +17,7 @@ import enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactmath import Poly, T
+from .exactmath import InvariantViolation, Poly, T
 from .geometry import ClassPoly, Construction, derived_classes, top_power
 
 __all__ = ["HorizontalDivisor", "Segment", "decompose", "volume_profile"]
@@ -25,6 +25,8 @@ __all__ = ["HorizontalDivisor", "Segment", "decompose", "volume_profile"]
 # Breakpoint and pseudo-effective threshold shared by both divisors.
 BREAK = Fraction(1)
 TAU = Fraction(2)
+# Quarter-integer sample points of [0, TAU] for the guards; index 4 is BREAK.
+_SAMPLES = tuple(Fraction(k, 4) for k in range(9))
 
 
 class HorizontalDivisor(enum.Enum):
@@ -83,14 +85,20 @@ def volume_profile(c: Construction, d: HorizontalDivisor) -> list[tuple[Fraction
     The volume of the nef positive part is its top power.  Guards: the two
     segment polynomials agree at the breakpoint, the profile vanishes at the
     pseudo-effective threshold t = 2, and it is nonincreasing at quarter-
-    integer sample points.
+    integer sample points.  Each segment is evaluated once at each of its
+    sample points, its ends included.  A failed guard raises
+    InvariantViolation.
     """
     profile = [(seg.t_lo, seg.t_hi, top_power(c, seg.positive)) for seg in decompose(c, d)]
 
     left, right = profile[0][2], profile[1][2]
-    assert left(BREAK) == right(BREAK), "volume profile discontinuous at t = 1"
-    assert right(TAU) == 0, "volume must vanish at the pseudo-effective threshold t = 2"
-    samples = [Fraction(k, 4) for k in range(9)]
-    values = [(left if s <= BREAK else right)(s) for s in samples]
-    assert all(a >= b for a, b in zip(values, values[1:])), "volume profile not nonincreasing"
+    left_values = [left(s) for s in _SAMPLES[:5]]
+    right_values = [right(s) for s in _SAMPLES[4:]]
+    if left_values[-1] != right_values[0]:
+        raise InvariantViolation("volume profile discontinuous at t = 1")
+    if right_values[-1] != 0:
+        raise InvariantViolation("volume must vanish at the pseudo-effective threshold t = 2")
+    values = left_values + right_values[1:]
+    if any(a < b for a, b in zip(values, values[1:])):
+        raise InvariantViolation("volume profile not nonincreasing")
     return profile

@@ -87,6 +87,12 @@ def naive_eval(p: Poly, x: Fraction) -> Fraction:
     return sum((c * x ** i for i, c in enumerate(p.coeffs)), Fraction(0))
 
 
+def naive_integral(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
+    """Definite integral over [lo, hi] of sum coeffs[i] t^i, one Fraction
+    antiderivative term c_i (hi^{i+1} - lo^{i+1}) / (i+1) at a time."""
+    return sum((Fraction(c) * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1) for i, c in enumerate(coeffs)), Fraction(0))
+
+
 def closed_form_vol_x(n: int, r: Fraction, vol_v: Fraction) -> Fraction:
     return ((r + 1) ** n - (r - 1) ** n) / r ** (n - 1) * vol_v
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from fanoblowup import invariants
 from fanoblowup.cli import main
 
 PAIR_ENTRY = """\
@@ -81,6 +82,12 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "5")
         assert code == 2
         assert "l must satisfy" in err
+
+    def test_invariant_violation_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(invariants, "s_invariant", lambda c, d, vol=None: 1 + Fraction(1, 10 ** 30))
+        code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: betas do not vanish at l = 2")
 
     def test_deterministic_json(self, capsys):
         argv = ("invariants", "--dim", "4", "--index", "3", "--l", "5/2", "--json")

@@ -4,15 +4,27 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 from fanoblowup import ONE, T, ZERO, Poly, as_rational, hilbert_projective_space
 
-from oracles import binom_product, naive_eval
+from oracles import binom_product, naive_eval, naive_integral
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 polys_st = st.lists(fractions_st, max_size=6).map(Poly)
+# The integer kernels behind evaluation and integration, at the sizes the
+# volume profiles reach: degree up to 40, 24-bit denominators, and the
+# quarter-integer guard points, 0 and negative rationals as arguments.
+wide_polys_st = st.lists(
+    st.builds(Fraction, st.integers(-(2 ** 24), 2 ** 24), st.integers(1, 2 ** 24)), max_size=41
+).map(Poly)
+any_polys_st = st.one_of(polys_st, wide_polys_st)
+points_st = st.one_of(
+    fractions_st,
+    st.integers(-8, 8).map(lambda k: Fraction(k, 4)),
+    st.builds(Fraction, st.integers(-(2 ** 24), 0), st.integers(1, 2 ** 24)),
+)
 
 
 class TestBinom:
@@ -114,7 +126,7 @@ class TestPolyRingLaws:
         if p and q:
             assert (p * q).degree == p.degree + q.degree
 
-    @given(p=polys_st, x=fractions_st)
+    @given(p=any_polys_st, x=points_st)
     def test_eval_matches_naive_summation(self, p, x):
         assert p(x) == naive_eval(p, x)
 
@@ -137,12 +149,19 @@ class TestIntegration:
         with pytest.raises(ValueError):
             ONE.integrate(1, 0)
 
-    @given(p=polys_st, q=polys_st, a=fractions_st, b=fractions_st)
+    @given(p=any_polys_st, q=any_polys_st, a=points_st, b=points_st)
     def test_linearity(self, p, q, a, b):
         lo, hi = min(a, b), max(a, b)
         assert (p + q).integrate(lo, hi) == p.integrate(lo, hi) + q.integrate(lo, hi)
 
-    @given(p=polys_st, a=fractions_st, b=fractions_st, c=fractions_st)
+    @given(p=any_polys_st, a=points_st, b=points_st)
+    @example(p=ZERO, a=Fraction(-3, 4), b=Fraction(2))
+    @example(p=Poly([Fraction(1, 3), -7, Fraction(5, 2)]), a=Fraction(3, 4), b=Fraction(3, 4))
+    def test_matches_term_by_term_antiderivative(self, p, a, b):
+        lo, hi = min(a, b), max(a, b)
+        assert p.integrate(lo, hi) == naive_integral(p.coeffs, lo, hi)
+
+    @given(p=any_polys_st, a=points_st, b=points_st, c=points_st)
     def test_additivity_over_intervals(self, p, a, b, c):
         lo, mid, hi = sorted([a, b, c])
         assert p.integrate(lo, hi) == p.integrate(lo, mid) + p.integrate(mid, hi)

@@ -230,11 +230,6 @@ class TestReportWork:
         # vol_y once, then two segment volumes for each of the two S invariants.
         assert counts == {"top_power": 5, "s_invariant": 2}
 
-    def test_classification_matches_classify_on_grid(self):
-        for n, r, l in admissible_grid():
-            c = Construction(n, r, l)
-            assert report(c).classification == classify(c)
-
 
 class TestQuadratureOracle:
     def test_exact_s_matches_quadrature_on_full_grid(self):

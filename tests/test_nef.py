@@ -2,10 +2,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
+from fanoblowup import nef
 from fanoblowup import (
     ClassPoly,
     Construction,
     HorizontalDivisor,
+    InvariantViolation,
     Poly,
     T,
     decompose,
@@ -115,3 +119,11 @@ class TestVolumeProfile:
         for n, r in [(2, Fraction(3, 2)), (3, Fraction(2)), (6, Fraction(3))]:
             c = Construction(n, r, 2, Fraction(11, 4))
             assert volume_profile(c, ZS) == volume_profile(c, IS)
+
+    def test_discontinuity_raises_invariant_violation(self, monkeypatch):
+        # An explicit check, not an assert: the suite also runs under python -O.
+        shifts = iter([0, 1])
+        real = nef.top_power
+        monkeypatch.setattr(nef, "top_power", lambda c, cls: real(c, cls) + next(shifts))
+        with pytest.raises(InvariantViolation, match="discontinuous at t = 1"):
+            volume_profile(Construction(3, 2, 1), ZS)
