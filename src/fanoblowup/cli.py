@@ -68,8 +68,9 @@ def _base_flag(text: str) -> HilbertFunction:
 def _classification_dict(cls) -> dict:
     if isinstance(cls, ReducesToPair):
         return {"kind": cls.kind, "a": str(cls.a)}
-    assert isinstance(cls, KUnstable)
-    return {"kind": cls.kind, "destabilizer": cls.destabilizer.value, "beta": str(cls.beta)}
+    if isinstance(cls, KUnstable):
+        return {"kind": cls.kind, "destabilizer": cls.destabilizer.value, "beta": str(cls.beta)}
+    raise InvariantViolation(f"unknown classification {cls!r}")
 
 
 def _report_dict(c: Construction, rep: InvariantReport) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactmath import Poly, RationalLike, as_rational
+from .exactmath import ZERO, Poly, RationalLike, as_rational
 
 __all__ = ["Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power", "vol_x"]
 
@@ -155,14 +155,22 @@ def top_power(c: Construction, cls: ClassPoly) -> Poly:
         vol(V) * [ ((q0 x + z)^n - z^n) / q0 + ((qinf y + z)^n - z^n) / qinf ].
 
     q0 is never zero; at l = 1, where qinf = 0, only the k = 1 rung of the
-    second ladder survives and the second term is n y z^(n-1).
+    second ladder survives and the second term is n y z^(n-1).  A ladder whose
+    coefficient (x or y) is the zero Poly vanishes and is not expanded; on
+    [1, 2] each Zariski positive part has one such coefficient.  z^n is raised
+    only when a remaining ladder uses it.
     """
-    n, z = c.n, cls.a
+    n, x, y, z = c.n, cls.v0, cls.vinf, cls.a
     q0 = Fraction(-1) / c.r
     qinf = (1 - c.l) / c.r
-    zn = z ** n
-    ladder_0 = ((q0 * cls.v0 + z) ** n - zn) * (1 / q0)
-    ladder_inf = ((qinf * cls.vinf + z) ** n - zn) * (1 / qinf) if qinf else n * cls.vinf * z ** (n - 1)
+    zn = z ** n if x or (y and qinf) else None
+    ladder_0 = ((q0 * x + z) ** n - zn) * (1 / q0) if x else ZERO
+    if not y:
+        ladder_inf = ZERO
+    elif qinf:
+        ladder_inf = ((qinf * y + z) ** n - zn) * (1 / qinf)
+    else:
+        ladder_inf = n * y * z ** (n - 1)
     return c.vol_v * (ladder_0 + ladder_inf)
 
 

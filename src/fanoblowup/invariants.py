@@ -35,9 +35,14 @@ __all__ = [
 
 
 def vol_y(c: Construction) -> Fraction:
-    """Anti-canonical volume (-K_Y)^n, via the top-power functional."""
+    """Anti-canonical volume (-K_Y)^n, via the top-power functional.
+
+    -K_Y has constant coefficients, so its top power must be a constant
+    polynomial; anything else raises InvariantViolation.
+    """
     value = top_power(c, derived_classes(c).anti_k)
-    assert value.degree <= 0
+    if value.degree > 0:
+        raise InvariantViolation(f"vol_y must be constant in t, got degree {value.degree}")
     return value(0)
 
 

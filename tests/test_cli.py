@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fanoblowup import invariants
+from fanoblowup import Construction, cli, invariants
 from fanoblowup.cli import main
 
 PAIR_ENTRY = """\
@@ -88,6 +88,13 @@ class TestInvariants:
         code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "2")
         assert (code, out) == (3, "")
         assert err.startswith("internal error: betas do not vanish at l = 2")
+
+    def test_unknown_classification_exits_3(self, capsys, monkeypatch):
+        rep = invariants.report(Construction(3, 2, 2))
+        monkeypatch.setattr(cli, "report", lambda c: rep._replace(classification="neither kind"))
+        code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "2", "--json")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: unknown classification")
 
     def test_deterministic_json(self, capsys):
         argv = ("invariants", "--dim", "4", "--index", "3", "--l", "5/2", "--json")

@@ -161,10 +161,14 @@ class TestTopPowerAgainstLadder:
             Poly([Fraction(1), Fraction(-12582911, 8388608)]),
             Poly([Fraction(16777215, 12582912), Fraction(3, 16777213)]),
         )
+        # A zero x or y skips that ladder; at l = 1 a zero y also drops n y z^(n-1).
+        no_v0, no_vinf, no_both = cls._replace(v0=0), cls._replace(vinf=0), cls._replace(v0=0, vinf=0)
         for n in (2, 3, 5, 8):
             c = Construction(n, r, l, Fraction(16777199, 12582917))
             _assert_matches_ladder(c, derived_classes(c).anti_k)
-            _assert_matches_ladder(c, cls)
+            for case in (cls, no_v0, no_vinf, no_both):
+                _assert_matches_ladder(c, case)
+            assert top_power(c, no_both) == Poly()
 
 
 class TestVolX:

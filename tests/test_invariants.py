@@ -10,8 +10,11 @@ from fanoblowup import (
     Construction,
     HorizontalDivisor,
     InvariantReport,
+    InvariantViolation,
     KUnstable,
+    Poly,
     ReducesToPair,
+    T,
     beta,
     classify,
     coefficient_a,
@@ -226,9 +229,21 @@ class TestReportWork:
         for module in (geometry, nef, invariants):
             monkeypatch.setattr(module, "top_power", top)
         monkeypatch.setattr(invariants, "s_invariant", counting("s_invariant", invariants.s_invariant))
+        monkeypatch.setattr(Poly, "__pow__", counting("poly_pow", Poly.__pow__))
         report(Construction(4, Fraction(5, 2), l, Fraction(5)))
         # vol_y once, then two segment volumes for each of the two S invariants.
-        assert counts == {"top_power": 5, "s_invariant": 2}
+        # Each two-ladder class raises three powers (z^n, or z^(n-1) at l = 1,
+        # and one per ladder).  Each [1, 2] positive part has one zero ladder,
+        # and at l = 1 the V_0 segment's lone n y z^(n-1) needs no z^n.
+        powers = 12 if l == 1 else 13
+        assert counts == {"top_power": 5, "s_invariant": 2, "poly_pow": powers}
+
+
+class TestVolY:
+    def test_non_constant_top_power_raises(self, monkeypatch):
+        monkeypatch.setattr(invariants, "top_power", lambda c, cls: T)
+        with pytest.raises(InvariantViolation, match="vol_y must be constant"):
+            vol_y(Construction(3, 2, 2))
 
 
 class TestQuadratureOracle:
