@@ -9,7 +9,18 @@ a(n, r) with its finite-m refinement approximations a_m, and the resulting
 K-unstable / reduces-to-pair classification.
 """
 
-from .catalog import CatalogEntry, CatalogError, EntryResult, default_catalog_path, load_catalog, run_catalog
+from .catalog import (
+    MAX_BITS,
+    MAX_DIM,
+    CatalogEntry,
+    CatalogError,
+    EntryResult,
+    bounded_dim,
+    bounded_rational,
+    default_catalog_path,
+    load_catalog,
+    run_catalog,
+)
 from .exactmath import ONE, T, ZERO, InvariantViolation, Poly, Rational, as_rational
 from .geometry import ClassPoly, Construction, DerivedClasses, derived_classes, top_power, vol_x
 from .invariants import (
@@ -18,6 +29,8 @@ from .invariants import (
     KUnstable,
     ReducesToPair,
     beta,
+    classification_fields,
+    classification_text,
     classify,
     coefficient_a,
     report,
@@ -43,9 +56,11 @@ __all__ = [
     "Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power", "vol_x",
     "HorizontalDivisor", "Segment", "decompose", "volume_profile",
     "vol_y", "s_invariant", "beta", "coefficient_a",
-    "ReducesToPair", "KUnstable", "Classification", "InvariantReport", "classify", "report",
+    "ReducesToPair", "KUnstable", "Classification", "classification_fields", "classification_text",
+    "InvariantReport", "classify", "report",
     "HilbertFunction", "hilbert_projective_space", "ProfileRow", "BasisProfile",
     "basis_profile", "a_m", "ConvergenceRow", "convergence_table",
+    "MAX_DIM", "MAX_BITS", "bounded_dim", "bounded_rational",
     "CatalogError", "CatalogEntry", "EntryResult", "default_catalog_path", "load_catalog", "run_catalog",
     "__version__",
 ]

@@ -11,11 +11,13 @@ written as ``p/q``:
     vol_v = 8
     expect_a = 11/56
 
-Recognized keys: ``n`` (integer >= 2), ``r``, ``l``, ``vol_v`` (optional,
-default 1), and the optional expectations ``expect_a`` (the entry must reduce
-to a pair with exactly this coefficient) and ``expect_destabilizer``
-(``zero-section`` or ``infinity-section``; the entry must be K-unstable with
-exactly this destabilizer).  Entries without expectations are report-only.
+Recognized keys: ``n`` (integer, 2 <= n <= MAX_DIM), ``r``, ``l``, ``vol_v``
+(optional, default 1), and the optional expectations ``expect_a`` (the entry
+must reduce to a pair with exactly this coefficient) and
+``expect_destabilizer`` (``zero-section`` or ``infinity-section``; the entry
+must be K-unstable with exactly this destabilizer).  Entries without
+expectations are report-only.  A rational has at most MAX_BITS bits in its
+numerator and in its denominator, and no exponent.
 A ``;`` after a value starts a comment.  ``[DEFAULT]`` is refused: INI
 readers merge its keys into every other section.
 """
@@ -29,12 +31,30 @@ from typing import NamedTuple
 
 from .exactmath import as_rational
 from .geometry import Construction
-from .invariants import InvariantReport, KUnstable, ReducesToPair, report
+from .invariants import InvariantReport, KUnstable, ReducesToPair, classification_text, report
 from .nef import HorizontalDivisor
 
-__all__ = ["CatalogError", "CatalogEntry", "EntryResult", "default_catalog_path", "load_catalog", "run_catalog"]
+__all__ = [
+    "MAX_DIM",
+    "MAX_BITS",
+    "CatalogError",
+    "CatalogEntry",
+    "EntryResult",
+    "bounded_dim",
+    "bounded_rational",
+    "default_catalog_path",
+    "load_catalog",
+    "run_catalog",
+]
 
 _KNOWN_KEYS = {"n", "r", "l", "vol_v", "expect_a", "expect_destabilizer"}
+
+# Bounds on values read from outside the program, in catalog files and CLI
+# flags.  The cost of exact arithmetic grows with n and with the bit length of
+# the rationals, so larger values are refused instead of run without bound.
+# The library functions themselves take any value.
+MAX_DIM = 64
+MAX_BITS = 64
 
 
 class CatalogError(Exception):
@@ -55,6 +75,33 @@ class EntryResult(NamedTuple):
     detail: str
 
 
+def bounded_dim(text: str) -> int:
+    """The integer n written in text; ValueError above MAX_DIM."""
+    n = int(text)
+    if n > MAX_DIM:
+        raise ValueError(f"n is limited to {MAX_DIM}, got {n}")
+    return n
+
+
+def bounded_rational(text: str) -> Fraction:
+    """The exact rational written in text, as an integer, decimal or p/q.
+
+    Raises ValueError for malformed text, for a numerator or denominator of
+    more than MAX_BITS bits, and for exponent notation, which is refused
+    before conversion because Fraction expands "1e999999999" into a power
+    of ten.
+    """
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation is not accepted, got {text!r}; write an integer or p/q")
+    try:
+        value = as_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"expected a rational like 7 or 3/2, got {text!r}") from exc
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_BITS:
+        raise ValueError(f"numerator and denominator are limited to {MAX_BITS} bits, got {text!r}")
+    return value
+
+
 def default_catalog_path() -> Path:
     """The catalog shipped with the package."""
     return Path(__file__).parent / "data" / "default_catalog.cfg"
@@ -69,13 +116,13 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
             raise CatalogError(f"entry [{name}]: missing required key '{key}'")
     try:
         construction = Construction(
-            n=int(section["n"]),
-            r=as_rational(section["r"]),
-            l=as_rational(section["l"]),
-            vol_v=as_rational(section.get("vol_v", "1")),
+            n=bounded_dim(section["n"]),
+            r=bounded_rational(section["r"]),
+            l=bounded_rational(section["l"]),
+            vol_v=bounded_rational(section.get("vol_v", "1")),
         )
-        expect_a = as_rational(section["expect_a"]) if "expect_a" in section else None
-    except (ValueError, ZeroDivisionError) as exc:
+        expect_a = bounded_rational(section["expect_a"]) if "expect_a" in section else None
+    except ValueError as exc:
         raise CatalogError(f"entry [{name}]: {exc}") from exc
     expect_destab = None
     if "expect_destabilizer" in section:
@@ -117,19 +164,20 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
 
 def _check_expectations(entry: CatalogEntry, rep: InvariantReport) -> tuple[bool, str]:
     cls = rep.classification
+    got = classification_text(cls)
     if entry.expect_a is not None:
         if not isinstance(cls, ReducesToPair):
-            return False, f"expected reduces-to-pair, got {cls.describe()}"
+            return False, f"expected reduces-to-pair, got {got}"
         if cls.a != entry.expect_a:
             return False, f"a = {cls.a} ≠ {entry.expect_a}"
     if entry.expect_destabilizer is not None:
         if not isinstance(cls, KUnstable):
-            return False, f"expected k-unstable, got {cls.describe()}"
+            return False, f"expected k-unstable, got {got}"
         if cls.destabilizer is not entry.expect_destabilizer:
             return False, (
                 f"destabilizer = {cls.destabilizer.value} ≠ {entry.expect_destabilizer.value}"
             )
-    return True, cls.describe()
+    return True, got
 
 
 def run_catalog(entries: list[CatalogEntry]) -> list[EntryResult]:

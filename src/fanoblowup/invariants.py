@@ -28,6 +28,8 @@ __all__ = [
     "ReducesToPair",
     "KUnstable",
     "Classification",
+    "classification_fields",
+    "classification_text",
     "classify",
     "InvariantReport",
     "report",
@@ -84,7 +86,7 @@ class ReducesToPair(NamedTuple):
     kind = "reduces-to-pair"
 
     def describe(self) -> str:
-        return f"{self.kind} a={self.a}"
+        return classification_text(self)
 
 
 class KUnstable(NamedTuple):
@@ -96,10 +98,30 @@ class KUnstable(NamedTuple):
     kind = "k-unstable"
 
     def describe(self) -> str:
-        return f"{self.kind} destabilizer={self.destabilizer.value} beta={self.beta}"
+        return classification_text(self)
 
 
 Classification = Union[ReducesToPair, KUnstable]
+
+
+def classification_fields(cls: Classification) -> dict[str, str]:
+    """A classification's fields as exact strings, "kind" first.
+
+    The one spelling of a verdict: the CLI's JSON and text, catalog details
+    and describe() all derive from it.  Anything but a ReducesToPair or a
+    KUnstable raises InvariantViolation.
+    """
+    if isinstance(cls, ReducesToPair):
+        return {"kind": cls.kind, "a": str(cls.a)}
+    if isinstance(cls, KUnstable):
+        return {"kind": cls.kind, "destabilizer": cls.destabilizer.value, "beta": str(cls.beta)}
+    raise InvariantViolation(f"unknown classification {cls!r}")
+
+
+def classification_text(cls: Classification) -> str:
+    """classification_fields(cls) on one line: the kind, then key=value pairs."""
+    fields = classification_fields(cls)
+    return " ".join([fields.pop("kind"), *(f"{key}={value}" for key, value in fields.items())])
 
 
 def classify(c: Construction) -> Classification:
@@ -140,9 +162,9 @@ def report(c: Construction) -> InvariantReport:
     vol_y and each S are computed once, and the classification is decided
     from the exact signs of the computed betas, never by a precomputed rule.
     At l = 2 both betas must vanish (Futaki vanishing) and Y reduces to the
-    pair (V, aB); otherwise exactly one beta is strictly negative, since they
-    sum to zero, and that divisor destabilizes Y.  Either claim failing
-    raises InvariantViolation.
+    pair (V, aB); otherwise the betas must sum to zero and exactly one must
+    be strictly negative, and that divisor destabilizes Y.  Any of these
+    claims failing raises InvariantViolation.
     """
     vol = vol_y(c)
     s_v0 = s_invariant(c, HorizontalDivisor.ZERO_SECTION, vol=vol)
@@ -152,9 +174,11 @@ def report(c: Construction) -> InvariantReport:
         if beta_v0 or beta_vinf:
             raise InvariantViolation(f"betas do not vanish at l = 2; betas are {beta_v0}, {beta_vinf}")
         classification = ReducesToPair(coefficient_a(c.n, c.r))
-    elif beta_v0 < 0 < beta_vinf:
+    elif beta_v0 + beta_vinf:
+        raise InvariantViolation(f"horizontal betas must sum to zero; betas are {beta_v0}, {beta_vinf}")
+    elif beta_v0 < 0:
         classification = KUnstable(HorizontalDivisor.ZERO_SECTION, beta_v0)
-    elif beta_vinf < 0 < beta_v0:
+    elif beta_vinf < 0:
         classification = KUnstable(HorizontalDivisor.INFINITY_SECTION, beta_vinf)
     else:
         raise InvariantViolation(f"no strictly negative beta at l = {c.l}; betas are {beta_v0}, {beta_vinf}")

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, NamedTuple
 
+from .exactmath import InvariantViolation
 from .geometry import Construction
 from .invariants import coefficient_a
 
@@ -98,7 +99,8 @@ def basis_profile(c: Construction, h: HilbertFunction, m: int) -> BasisProfile:
 
     Defined only at l = 2, and only for m with m*r integral so that every
     movable twist (m r - |m - j|) L is an honest line-bundle power; the
-    smallest valid stride is the denominator of r.
+    smallest valid stride is the denominator of r.  A profile without
+    sections raises InvariantViolation.
     """
     if c.l != 2:
         raise ValueError(f"refinement data is only defined at l = 2, got l = {c.l}")
@@ -116,7 +118,8 @@ def basis_profile(c: Construction, h: HilbertFunction, m: int) -> BasisProfile:
     for j in range(2 * m + 1):
         rows.append(ProfileRow(j=j, sections=by_distance[abs(m - j)], fixed=max(0, j - m)))
     profile = BasisProfile(m=m, rows=tuple(rows))
-    assert profile.total_sections > 0
+    if profile.total_sections <= 0:
+        raise InvariantViolation(f"no sections at level m = {m} for {h.description}")
     return profile
 
 
@@ -134,12 +137,16 @@ class ConvergenceRow(NamedTuple):
 
 
 def convergence_table(c: Construction, h: HilbertFunction, ms: Iterable[int]) -> list[ConvergenceRow]:
-    """a_m against the limit a(n, r) for each requested m, sorted by m."""
+    """a_m against the limit a(n, r) for each requested m, sorted by m.
+
+    A finite-m value equal to the limit raises InvariantViolation.
+    """
     target = coefficient_a(c.n, c.r)
     rows = []
     for m in sorted(ms):
         value = a_m(c, h, m)
         error = abs(value - target)
-        assert error > 0, f"finite-m value unexpectedly equals the limit at m = {m}"
+        if not error:
+            raise InvariantViolation(f"finite-m value unexpectedly equals the limit at m = {m}")
         rows.append(ConvergenceRow(m=m, a_m=value, error=error))
     return rows

@@ -11,7 +11,12 @@ where the change is recorded.  The command set covers:
   l = 5/2 points are inadmissible);
 - 14 `coeff` calls, 2 of them invalid;
 - 3 `refine` tables;
-- `catalog` as text, --json and --quiet.
+- `catalog` as text, --json and --quiet;
+- `invariants --quiet`, the global --json and --quiet before each subcommand,
+  and --json with --quiet;
+- tests/data/mismatch_catalog.cfg, whose second entry fails, as text, --quiet
+  and --json (exit 1).  Its path is relative to the repository root, which
+  `capture` runs in.
 """
 
 from __future__ import annotations
@@ -19,12 +24,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
 from fanoblowup.cli import main as cli_main
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
+MISMATCH_CATALOG = "tests/data/mismatch_catalog.cfg"
 
 DIMS = ("2", "3", "6", "16")
 LS = ("0", "1/2", "1", "3/2", "2", "5/2")
@@ -57,20 +65,41 @@ def commands() -> list[list[str]]:
         ["refine", "--dim", "4", "--index", "2", "--base", "ps:3:2", "--m", "1,3,9", "--quiet"],
     ]
     out += [["catalog"], ["catalog", "--json"], ["catalog", "--quiet"]]
+    pair = ["invariants", "--dim", "3", "--index", "2", "--l", "2"]
+    unstable = ["invariants", "--dim", "6", "--index", "5/2", "--l", "3/2", "--vol-v", "7/3"]
+    refine = ["refine", "--dim", "3", "--index", "3", "--base", "ps:2:1", "--m", "1,2"]
+    coeff = ["coeff", "--dim", "4", "--index", "2"]
+    out += [pair + ["--quiet"], unstable + ["--quiet"]]
+    for flag in ("--json", "--quiet"):
+        out += [[flag, *pair], [flag, *unstable], [flag, *refine], [flag, "catalog"]]
+    out.append(["--quiet", *coeff])
+    out += [
+        coeff + ["--json", "--quiet"],
+        ["--quiet", *pair, "--json"],
+        ["--json", "--quiet", *refine],
+        ["catalog", "--json", "--quiet"],
+    ]
+    out += [["catalog", MISMATCH_CATALOG], ["catalog", MISMATCH_CATALOG, "--quiet"], ["catalog", MISMATCH_CATALOG, "--json"]]
     return out
 
 
 def capture(argv: list[str]) -> tuple[str, int]:
     """stdout and exit code of one in-process `cli.main(argv)` call.
 
-    An argparse exit counts by its code; stderr is discarded.
+    An argparse exit counts by its code; stderr is discarded.  The call runs
+    in the repository root, so relative paths in argv resolve from there.
     """
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = cli_main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
     return out.getvalue(), code
 
 

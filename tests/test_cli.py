@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from fanoblowup import Construction, cli, invariants
-from fanoblowup.cli import main
+from fanoblowup import MAX_BITS, MAX_DIM, Construction, HorizontalDivisor, catalog, cli, invariants, refinement
+from fanoblowup.cli import MAX_M, main
 
 PAIR_ENTRY = """\
 [family-4.2]
@@ -26,6 +26,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_computation(monkeypatch):
+    """Make every computation the CLI reaches fail, so that a refused input is never run."""
+    def reached(*args, **kwargs):
+        raise AssertionError("a refused input reached the computation")
+    for owner, name in ((cli, "coefficient_a"), (cli, "report"), (cli, "convergence_table"), (catalog, "report")):
+        monkeypatch.setattr(owner, name, reached)
+
+
+def with_unknown_classification(monkeypatch, owner):
+    """Make owner.report return reports whose classification is of neither kind."""
+    real = invariants.report
+    monkeypatch.setattr(owner, "report", lambda c: real(c)._replace(classification="neither kind"))
+
+
+TOO_WIDE = f"{2 ** MAX_BITS + 1}/{2 ** MAX_BITS}"
 
 
 class TestCoeff:
@@ -93,6 +110,19 @@ class TestInvariants:
         rep = invariants.report(Construction(3, 2, 2))
         monkeypatch.setattr(cli, "report", lambda c: rep._replace(classification="neither kind"))
         code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "2", "--json")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: unknown classification")
+
+    def test_unbalanced_betas_exit_3(self, capsys, monkeypatch):
+        s_values = {HorizontalDivisor.ZERO_SECTION: Fraction(11, 10), HorizontalDivisor.INFINITY_SECTION: Fraction(19, 20)}
+        monkeypatch.setattr(invariants, "s_invariant", lambda c, d, vol=None: s_values[d])
+        code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "1/2")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: horizontal betas must sum to zero")
+
+    def test_unknown_classification_text_exits_3(self, capsys, monkeypatch):
+        with_unknown_classification(monkeypatch, cli)
+        code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "2")
         assert (code, out) == (3, "")
         assert err.startswith("internal error: unknown classification")
 
@@ -192,6 +222,45 @@ class TestCatalog:
         assert code == 2
         assert "[DEFAULT]" in err and out == ""
 
+    @pytest.mark.parametrize("flags", [[], ["--quiet"], ["--json"]])
+    def test_unknown_classification_exits_3(self, capsys, monkeypatch, flags):
+        with_unknown_classification(monkeypatch, catalog)
+        code, out, err = run(capsys, "catalog", *flags)
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: unknown classification")
+
+    def test_wrong_kind_details(self, tmp_path, capsys):
+        path = tmp_path / "kinds.cfg"
+        path.write_text(
+            "[unstable]\nn = 3\nr = 3\nl = 3\nexpect_a = 1/2\n"
+            "[pair]\nn = 3\nr = 2\nl = 2\nexpect_destabilizer = zero-section\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "catalog", str(path))
+        assert code == 1
+        assert out.splitlines()[:2] == [
+            "FAIL unstable: expected reduces-to-pair, got k-unstable destabilizer=infinity-section beta=-15/128",
+            "FAIL pair: expected k-unstable, got reduces-to-pair a=11/56",
+        ]
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("n", str(MAX_DIM + 1), f"n is limited to {MAX_DIM}"),
+            ("r", TOO_WIDE, f"limited to {MAX_BITS} bits"),
+            ("vol_v", "1e3", "exponent notation is not accepted"),
+            ("expect_a", f"1/{2 ** MAX_BITS}", f"limited to {MAX_BITS} bits"),
+        ],
+    )
+    def test_bounds_exit_2(self, tmp_path, capsys, monkeypatch, key, value, reason):
+        refuse_computation(monkeypatch)
+        fields = {"n": "3", "r": "2", "l": "2", "vol_v": "8", "expect_a": "11/56", key: value}
+        path = tmp_path / "big.cfg"
+        path.write_text("[big]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()), encoding="utf-8")
+        code, out, err = run(capsys, "catalog", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: entry [big]: ") and reason in err
+
     def test_readme_example_passes(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -233,6 +302,12 @@ class TestRefine:
         assert code == 2
         assert "base mismatch" in err
 
+    def test_failed_check_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(refinement, "coefficient_a", lambda n, r: Fraction(3, 11))  # a_1 at (3, 3)
+        code, out, err = run(capsys, "refine", "--dim", "3", "--index", "3", "--base", "ps:2:1", "--m", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: finite-m value unexpectedly equals the limit at m = 1")
+
     def test_unknown_base_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["refine", "--dim", "3", "--index", "3", "--base", "grassmannian:2:4", "--m", "1"])
@@ -244,6 +319,34 @@ class TestGlobalFlags:
         code, out, _ = run(capsys, "--json", "coeff", "--dim", "4", "--index", "2")
         assert code == 0
         assert json.loads(out)["a"] == "13/75"
+
+
+class TestBounds:
+    REFINE = ["refine", "--dim", "3", "--index", "3", "--base", "ps:2:1"]
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["coeff", "--dim", str(MAX_DIM + 1), "--index", "2"], f"n is limited to {MAX_DIM}"),
+            (["invariants", "--dim", "100000", "--index", "2", "--l", "1"], f"n is limited to {MAX_DIM}"),
+            (["coeff", "--dim", "3", "--index", TOO_WIDE], f"limited to {MAX_BITS} bits"),
+            (["invariants", "--dim", "3", "--index", "2", "--l", f"1/{2 ** MAX_BITS}"], f"limited to {MAX_BITS} bits"),
+            (["invariants", "--dim", "3", "--index", "2", "--l", "1", "--vol-v", "1e3"], "exponent notation"),
+            (REFINE + ["--m", "100000000"], f"limited to a total of {MAX_M}"),
+            (REFINE + ["--m", f"{MAX_M},1"], f"limited to a total of {MAX_M}"),
+        ],
+    )
+    def test_refused_with_exit_2(self, capsys, monkeypatch, argv, reason):
+        refuse_computation(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err
+
+    def test_largest_admitted_values(self, capsys):
+        wide = f"{2 ** MAX_BITS - 1}/{2 ** (MAX_BITS - 1)}"
+        code, out, _ = run(capsys, "coeff", "--dim", str(MAX_DIM), "--index", wide, "--quiet")
+        assert code == 0 and Fraction(out) > 0
 
 
 class TestImportCost:

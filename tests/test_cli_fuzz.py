@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from fanoblowup import MAX_BITS, MAX_DIM
+
 from make_cli_golden import capture
 
 EXIT_CODES = {0, 1, 2, 3}
@@ -44,10 +46,18 @@ def _assert_exits_cleanly(argv: list[str]) -> int:
     return code
 
 
+# coeff is cheap at any admitted size, so it also probes the input bounds.
+bound_dims = st.integers(MAX_DIM - 1, MAX_DIM + 1).map(str)
+wide = st.integers(2 ** (MAX_BITS - 1), 2 ** (MAX_BITS + 1))
+wide_rationals = st.builds(lambda p, q: f"{p + q}/{q}", wide, wide)
+
+
 @settings(deadline=None)
-@given(flags=FLAGS, n=dims, r=st.one_of(above_one, rationals))
+@given(flags=FLAGS, n=st.one_of(dims, bound_dims), r=st.one_of(above_one, rationals, wide_rationals))
 @example(flags=[], n="-2", r="2")
 @example(flags=["--json"], n="10", r="65535/65534")
+@example(flags=[], n=str(MAX_DIM + 1), r="2")
+@example(flags=["--quiet"], n="3", r="2e0")
 def test_coeff(flags, n, r):
     _assert_exits_cleanly(["coeff", "--dim", n, "--index", r, *flags])
 

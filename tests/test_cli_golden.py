@@ -14,6 +14,6 @@ from make_cli_golden import GOLDEN, capture, commands
 def test_stdout_and_exit_codes_match_golden():
     records = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [rec["argv"] for rec in records] == commands()
-    assert len(records) == 164
+    assert len(records) == 182
     differ = [rec["argv"] for rec in records if capture(rec["argv"]) != (rec["stdout"], rec["exit"])]
     assert differ == []

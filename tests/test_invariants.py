@@ -16,6 +16,8 @@ from fanoblowup import (
     ReducesToPair,
     T,
     beta,
+    classification_fields,
+    classification_text,
     classify,
     coefficient_a,
     report,
@@ -188,6 +190,13 @@ class TestReport:
         rep = report(Construction(2, 3, 1, 1))
         assert rep.beta_v0 + rep.beta_vinf == 0
 
+    def test_unbalanced_betas_raise_invariant_violation(self, monkeypatch):
+        # report() checks the sum itself; the record's ValueError is for records built by hand.
+        s_values = {ZS: Fraction(11, 10), IS: Fraction(19, 20)}
+        monkeypatch.setattr(invariants, "s_invariant", lambda c, d, vol=None: s_values[d])
+        with pytest.raises(InvariantViolation, match="betas must sum to zero; betas are -1/10, 1/20"):
+            report(Construction(3, 2, Fraction(1, 2)))
+
     def test_replace_is_checked(self):
         rep = report(Construction(3, 2, 0))
         with pytest.raises(ValueError):
@@ -212,6 +221,21 @@ class TestReport:
                 beta_vinf=Fraction(1, 2),
                 classification=ReducesToPair(Fraction(1, 4)),
             )
+
+
+class TestClassificationFields:
+    def test_both_kinds(self):
+        pair, unstable = ReducesToPair(Fraction(11, 56)), KUnstable(IS, Fraction(-15, 128))
+        assert classification_fields(pair) == {"kind": "reduces-to-pair", "a": "11/56"}
+        assert classification_fields(unstable) == {
+            "kind": "k-unstable", "destabilizer": "infinity-section", "beta": "-15/128",
+        }
+        assert [classification_text(pair), classification_text(unstable)] == [pair.describe(), unstable.describe()]
+
+    @pytest.mark.parametrize("derive", [classification_fields, classification_text])
+    def test_unknown_kind_raises_invariant_violation(self, derive):
+        with pytest.raises(InvariantViolation, match="unknown classification 'neither kind'"):
+            derive("neither kind")
 
 
 class TestReportWork:

@@ -18,7 +18,7 @@ from fanoblowup import (
     volume_profile,
 )
 
-from oracles import admissible_grid
+from oracles import admissible_grid, ladder_top_power
 
 ZS = HorizontalDivisor.ZERO_SECTION
 IS = HorizontalDivisor.INFINITY_SECTION
@@ -73,6 +73,26 @@ class TestDecompose:
             assert inner.negative.is_zero()
             # outer negative = (t-1) * contracted, and t-1 >= 0 on [1, 2]
             assert outer.negative == (T - 1) * contracted
+
+
+class TestZariskiOrthogonality:
+    """P^(n-1) . N = 0 on [1, 2], by an intersection route that shares no code
+    with the library: the s-linear coefficient of the ladder oracle's
+    (P + s N)^n is n P^(n-1) . N."""
+
+    def test_positive_part_is_orthogonal_to_negative_part(self):
+        nonzero = []
+        for n, r, l in admissible_grid():
+            c = Construction(n, r, l)
+            for d in (ZS, IS):
+                _, outer = decompose(c, d)
+                for t in (Fraction(5, 4), Fraction(3, 2), Fraction(7, 4), Fraction(2)):
+                    p, neg = ([part(t) for part in cls] for cls in (outer.positive, outer.negative))
+                    pencil = ladder_top_power(n, r, l, c.vol_v, *zip(p, neg))
+                    linear = pencil[1] if len(pencil) > 1 else 0
+                    if linear:
+                        nonzero.append((n, r, l, d, t, linear))
+        assert nonzero == []
 
 
 class TestVolumeProfile:

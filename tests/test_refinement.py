@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from fanoblowup import refinement
 from fanoblowup import (
     Construction,
+    HilbertFunction,
+    InvariantViolation,
     a_m,
     basis_profile,
     coefficient_a,
@@ -92,6 +95,13 @@ class TestBasisProfile:
             basis_profile(C33, P2, 0)
 
 
+    def test_no_sections_raises_invariant_violation(self):
+        # An explicit check, not an assert: the suite also runs under python -O.
+        empty = HilbertFunction("no sections", 2, Fraction(3), lambda k: 0)
+        with pytest.raises(InvariantViolation, match="no sections at level m = 2"):
+            basis_profile(C33, empty, 2)
+
+
 class TestAm:
     def test_m1(self):
         assert a_m(C33, P2, 1) == Fraction(3, 11)
@@ -143,3 +153,8 @@ class TestConvergenceTable:
         h = hilbert_projective_space(2, 2)
         with pytest.raises(ValueError, match="multiples of 2"):
             convergence_table(c, h, [2, 3])
+
+    def test_value_at_the_limit_raises_invariant_violation(self, monkeypatch):
+        monkeypatch.setattr(refinement, "coefficient_a", lambda n, r: a_m(C33, P2, 2))
+        with pytest.raises(InvariantViolation, match="equals the limit at m = 2"):
+            convergence_table(C33, P2, [1, 2])

@@ -1,8 +1,7 @@
 """Static guards over the package source, read with ast.
 
 - Internal checks raise InvariantViolation and must not vanish under
-  ``python -O``, so ``assert`` is allowed only in the two refinement functions
-  still waiting for their rewrite.
+  ``python -O``, so no ``assert`` is allowed anywhere in the package.
 - No memoization (functools.cache, lru_cache, cached_property): a measured
   speed-up must come from less work per call, not from reusing earlier calls.
 """
@@ -13,7 +12,6 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fanoblowup"
-ASSERTS_ALLOWED = {("refinement", "basis_profile"), ("refinement", "convergence_table")}
 MEMOIZERS = {"cache", "lru_cache", "cached_property"}
 
 
@@ -24,15 +22,13 @@ def _trees() -> list[tuple[str, ast.Module]]:
 
 
 def test_no_assert_outside_allowed_functions():
-    stray = []
-    for module, tree in _trees():
-        for top in tree.body:
-            func = getattr(top, "name", None) if isinstance(top, ast.FunctionDef) else None
-            stray += [
-                f"{module}.py:{node.lineno} in {func}"
-                for node in ast.walk(top)
-                if isinstance(node, ast.Assert) and (module, func) not in ASSERTS_ALLOWED
-            ]
+    """The allow-list is empty: no function may assert."""
+    stray = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
     assert stray == []
 
 
