@@ -21,8 +21,8 @@ from .catalog import (
     load_catalog,
     run_catalog,
 )
-from .exactmath import ONE, T, ZERO, InvariantViolation, Poly, Rational, as_rational
-from .geometry import ClassPoly, Construction, DerivedClasses, derived_classes, top_power, vol_x
+from .exactmath import ONE, T, ZERO, InvariantViolation, Poly, as_rational
+from .geometry import ClassPoly, Construction, DerivedClasses, derived_classes, top_power
 from .invariants import (
     Classification,
     InvariantReport,
@@ -52,8 +52,8 @@ from .refinement import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational", "Poly", "ZERO", "ONE", "T", "as_rational", "InvariantViolation",
-    "Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power", "vol_x",
+    "Poly", "ZERO", "ONE", "T", "as_rational", "InvariantViolation",
+    "Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power",
     "HorizontalDivisor", "Segment", "decompose", "volume_profile",
     "vol_y", "s_invariant", "beta", "coefficient_a",
     "ReducesToPair", "KUnstable", "Classification", "classification_fields", "classification_text",

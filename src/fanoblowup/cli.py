@@ -12,7 +12,7 @@ Rationals cross the boundary as exact "p/q" strings; decimals are display
 only.  Input is bounded: --dim by catalog.MAX_DIM, the numerator and
 denominator of each rational flag by catalog.MAX_BITS bits, and the sum of
 the --m levels by MAX_M.  Exit codes: 0 success, 1 expectation mismatch,
-2 invalid input (a bound included), 3 internal invariant violation.
+2 invalid input (a bound included), 3 internal fault of any kind.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .catalog import (
     load_catalog,
     run_catalog,
 )
-from .exactmath import InvariantViolation
 from .geometry import Construction
 from .invariants import InvariantReport, classification_fields, classification_text, coefficient_a, report
 from .refinement import HilbertFunction, convergence_table, hilbert_projective_space
@@ -44,9 +43,9 @@ OK, MISMATCH, INVALID, INTERNAL = 0, 1, 2, 3
 MAX_M = 65536
 
 
-def _decimal(value: Fraction, digits: int = 12) -> str:
+def _decimal(value: Fraction) -> str:
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
@@ -64,22 +63,19 @@ def _m_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
     if not values:
-        raise argparse.ArgumentTypeError("need at least one m value")
+        raise ValueError("need at least one m value")
     if sum(map(abs, values)) > MAX_M:
-        raise argparse.ArgumentTypeError(f"the levels are limited to a total of {MAX_M}, got {text!r}")
+        raise ValueError(f"the levels are limited to a total of {MAX_M}, got {text!r}")
     return values
 
 
 def _base_flag(text: str) -> HilbertFunction:
     parts = text.split(":")
-    if len(parts) == 3 and parts[0] == "ps":
-        try:
-            return hilbert_projective_space(int(parts[1]), int(parts[2]))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-    raise argparse.ArgumentTypeError(f"unknown base {text!r}; supported form: ps:<s>:<d>")
+    if len(parts) != 3 or parts[0] != "ps":
+        raise ValueError(f"unknown base {text!r}; supported form: ps:<s>:<d>")
+    return hilbert_projective_space(int(parts[1]), int(parts[2]))
 
 
 def _report_dict(c: Construction, rep: InvariantReport) -> dict:
@@ -203,8 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cat.set_defaults(func=_cmd_catalog)
 
     p_ref = sub.add_parser("refine", parents=[common, n_and_r], help="finite-m convergence toward a(n, r); l is fixed at 2")
-    p_ref.add_argument("--base", type=_base_flag, required=True, metavar="BASE", help="section counter for V, e.g. ps:2:1 for P^2 with L = O(1)")
-    p_ref.add_argument("--m", type=_m_list, required=True, metavar="MS", help=f"comma-separated refinement levels, total at most {MAX_M}")
+    p_ref.add_argument("--base", type=_flag(_base_flag), required=True, metavar="BASE", help="section counter for V, e.g. ps:2:1 for P^2 with L = O(1)")
+    p_ref.add_argument("--m", type=_flag(_m_list), required=True, metavar="MS", help=f"comma-separated refinement levels, total at most {MAX_M}")
     p_ref.set_defaults(func=_cmd_refine)
     return parser
 
@@ -214,12 +210,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, document, lines = args.func(args)
-    except InvariantViolation as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return INTERNAL
-    except (ValueError, CatalogError, ArithmeticError) as exc:
+    except (ValueError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
+    except Exception as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL
     _write(args, document, lines)
     return code
 

@@ -15,11 +15,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
-__all__ = ["Rational", "RationalLike", "InvariantViolation", "as_rational", "Poly", "ZERO", "ONE", "T"]
+__all__ = ["RationalLike", "InvariantViolation", "as_rational", "Poly", "ZERO", "ONE", "T"]
 
 
 class InvariantViolation(ArithmeticError):
@@ -144,8 +142,6 @@ class Poly:
             return ZERO
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
         return Poly(out)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .exactmath import ZERO, Poly, RationalLike, as_rational
 
-__all__ = ["Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power", "vol_x"]
+__all__ = ["Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power"]
 
 
 class _ConstructionFields(NamedTuple):
@@ -91,13 +91,6 @@ class ClassPoly(_ClassPolyFields):
     @classmethod
     def _make(cls, fields) -> "ClassPoly":
         return cls(*fields)
-
-    @staticmethod
-    def zero() -> "ClassPoly":
-        return ClassPoly(Poly(), Poly(), Poly())
-
-    def is_zero(self) -> bool:
-        return not (self.v0 or self.vinf or self.a)
 
     def __add__(self, other: "ClassPoly") -> "ClassPoly":
         if not isinstance(other, ClassPoly):
@@ -172,13 +165,3 @@ def top_power(c: Construction, cls: ClassPoly) -> Poly:
     else:
         ladder_inf = n * y * z ** (n - 1)
     return c.vol_v * (ladder_0 + ladder_inf)
-
-
-def vol_x(c: Construction) -> Fraction:
-    """Anti-canonical volume of the bundle X = P(L + O) itself (the l = 0 case).
-
-    Closed form ((r+1)^n - (r-1)^n) * vol(V) / r^(n-1); agrees with
-    top_power of -K at l = 0 (enforced by test).
-    """
-    n, r = c.n, c.r
-    return ((r + 1) ** n - (r - 1) ** n) / r ** (n - 1) * c.vol_v

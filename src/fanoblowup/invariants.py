@@ -48,16 +48,15 @@ def vol_y(c: Construction) -> Fraction:
     return value(0)
 
 
-def s_invariant(c: Construction, d: HorizontalDivisor, *, vol: Fraction | None = None) -> Fraction:
-    """Exact S_Y(D): normalized integral of the piecewise volume profile.
-
-    vol, when given, must be vol_y(c); it spares a caller that needs both S
-    invariants computing the same volume again.
+def s_invariant(c: Construction, d: HorizontalDivisor) -> Fraction:
+    """Exact S_Y(D): the integral of the piecewise volume profile, divided by
+    its value vol(-K_Y) at t = 0.
     """
+    profile = volume_profile(c, d)
     total = Fraction(0)
-    for lo, hi, poly in volume_profile(c, d):
+    for lo, hi, poly in profile:
         total += poly.integrate(lo, hi)
-    return total / (vol_y(c) if vol is None else vol)
+    return total / profile[0][2](0)
 
 
 def beta(c: Construction, d: HorizontalDivisor) -> Fraction:
@@ -166,9 +165,8 @@ def report(c: Construction) -> InvariantReport:
     be strictly negative, and that divisor destabilizes Y.  Any of these
     claims failing raises InvariantViolation.
     """
-    vol = vol_y(c)
-    s_v0 = s_invariant(c, HorizontalDivisor.ZERO_SECTION, vol=vol)
-    s_vinf = s_invariant(c, HorizontalDivisor.INFINITY_SECTION, vol=vol)
+    s_v0 = s_invariant(c, HorizontalDivisor.ZERO_SECTION)
+    s_vinf = s_invariant(c, HorizontalDivisor.INFINITY_SECTION)
     beta_v0, beta_vinf = 1 - s_v0, 1 - s_vinf
     if c.l == 2:
         if beta_v0 or beta_vinf:
@@ -183,7 +181,7 @@ def report(c: Construction) -> InvariantReport:
     else:
         raise InvariantViolation(f"no strictly negative beta at l = {c.l}; betas are {beta_v0}, {beta_vinf}")
     return InvariantReport(
-        vol_y=vol,
+        vol_y=vol_y(c),
         s_v0=s_v0,
         s_vinf=s_vinf,
         beta_v0=beta_v0,

@@ -74,7 +74,7 @@ def decompose(c: Construction, d: HorizontalDivisor) -> list[Segment]:
     k_minus_td = der.anti_k - _divisor_class(d) * T
     negative = contracted * (T - 1)
     return [
-        Segment(Fraction(0), BREAK, k_minus_td, ClassPoly.zero()),
+        Segment(Fraction(0), BREAK, k_minus_td, ClassPoly(0, 0, 0)),
         Segment(BREAK, TAU, k_minus_td - negative, negative),
     ]
 

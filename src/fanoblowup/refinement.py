@@ -137,13 +137,13 @@ class ConvergenceRow(NamedTuple):
 
 
 def convergence_table(c: Construction, h: HilbertFunction, ms: Iterable[int]) -> list[ConvergenceRow]:
-    """a_m against the limit a(n, r) for each requested m, sorted by m.
+    """a_m against the limit a(n, r) for each distinct requested m, sorted by m.
 
     A finite-m value equal to the limit raises InvariantViolation.
     """
     target = coefficient_a(c.n, c.r)
     rows = []
-    for m in sorted(ms):
+    for m in sorted(set(ms)):
         value = a_m(c, h, m)
         error = abs(value - target)
         if not error:

@@ -23,13 +23,13 @@ from fanoblowup import (
     hilbert_projective_space,
     s_invariant,
     top_power,
-    vol_x,
     vol_y,
 )
 from fanoblowup.cli import main as cli_main
 
 from oracles import (
     admissible_grid,
+    closed_form_vol_x,
     closed_form_vol_y,
     profile_quadrature,
     quad_beta_inf_normalized,
@@ -128,7 +128,7 @@ def test_criterion_5_volume_formulas():
         value = top_power(c, derived_classes(c).anti_k)
         ok = ok and value.degree == 0 and value(0) == closed_form_vol_y(n, r, l, c.vol_v)
         if l == 0:
-            ok = ok and value(0) == vol_x(c)
+            ok = ok and value(0) == closed_form_vol_x(n, r, c.vol_v)
     _check("criterion 5: top power of -K_Y equals the closed-form volume, both branches, and vol X at l = 0", ok)
 
 

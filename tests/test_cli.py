@@ -101,7 +101,7 @@ class TestInvariants:
         assert "l must satisfy" in err
 
     def test_invariant_violation_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(invariants, "s_invariant", lambda c, d, vol=None: 1 + Fraction(1, 10 ** 30))
+        monkeypatch.setattr(invariants, "s_invariant", lambda c, d: 1 + Fraction(1, 10 ** 30))
         code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "2")
         assert (code, out) == (3, "")
         assert err.startswith("internal error: betas do not vanish at l = 2")
@@ -115,7 +115,7 @@ class TestInvariants:
 
     def test_unbalanced_betas_exit_3(self, capsys, monkeypatch):
         s_values = {HorizontalDivisor.ZERO_SECTION: Fraction(11, 10), HorizontalDivisor.INFINITY_SECTION: Fraction(19, 20)}
-        monkeypatch.setattr(invariants, "s_invariant", lambda c, d, vol=None: s_values[d])
+        monkeypatch.setattr(invariants, "s_invariant", lambda c, d: s_values[d])
         code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "1/2")
         assert (code, out) == (3, "")
         assert err.startswith("internal error: horizontal betas must sum to zero")
@@ -125,6 +125,15 @@ class TestInvariants:
         code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "2")
         assert (code, out) == (3, "")
         assert err.startswith("internal error: unknown classification")
+
+    @pytest.mark.parametrize("fault", [ZeroDivisionError("division by zero"), KeyError("vol_y")])
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch, fault):
+        def fail(c):
+            raise fault
+        monkeypatch.setattr(cli, "report", fail)
+        code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "2")
+        assert (code, out) == (3, "")
+        assert err == f"internal error: {fault}\n"
 
     def test_deterministic_json(self, capsys):
         argv = ("invariants", "--dim", "4", "--index", "3", "--l", "5/2", "--json")
@@ -286,6 +295,11 @@ class TestRefine:
         assert doc["target"] == "33/152"
         assert [row["m"] for row in doc["rows"]] == [1, 2]
         assert doc["rows"][0]["a_m"] == "3/11"
+
+    def test_repeated_level_prints_one_row(self, capsys):
+        code, out, _ = run(capsys, "refine", "--dim", "3", "--index", "3", "--base", "ps:2:1", "--m", "2,2,2", "--quiet")
+        assert code == 0
+        assert out.splitlines() == ["m=2    a_m=51/200  error=0.0378947368421"]
 
     def test_fractional_stride_exits_2(self, capsys):
         code, _, err = run(capsys, "refine", "--dim", "3", "--index", "3/2", "--base", "ps:2:2", "--m", "3")

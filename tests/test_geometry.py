@@ -14,7 +14,7 @@ from fanoblowup import (
     decompose,
     derived_classes,
     top_power,
-    vol_x,
+    vol_y,
 )
 
 from oracles import admissible_grid, closed_form_vol_x, closed_form_vol_y, ladder_top_power
@@ -173,18 +173,18 @@ class TestTopPowerAgainstLadder:
 
 class TestVolX:
     def test_example_3_2(self):
-        assert vol_x(Construction(3, 2, 0, 8)) == 52
+        assert vol_y(Construction(3, 2, 0, 8)) == 52
 
     def test_example_2_2(self):
         # ((r+1)^2 - (r-1)^2)/r = 4, so 4*vol_v; for V = P^1 this is K^2 of the
         # blow-up of P^2 at a point: 4 * 2 = 8
         v = Fraction(22, 7)
-        assert vol_x(Construction(2, 2, 0, v)) == 4 * v
-        assert vol_x(Construction(2, 2, 0, 2)) == 8
+        assert vol_y(Construction(2, 2, 0, v)) == 4 * v
+        assert vol_y(Construction(2, 2, 0, 2)) == 8
 
     def test_matches_top_power_at_l0(self):
         for n in range(2, 7):
             for r in [Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 2)]:
                 c = Construction(n, r, 0, Fraction(3, 5))
-                assert vol_x(c) == top_power(c, derived_classes(c).anti_k)(0)
-                assert vol_x(c) == closed_form_vol_x(n, r, c.vol_v)
+                assert vol_y(c) == top_power(c, derived_classes(c).anti_k)(0)
+                assert vol_y(c) == closed_form_vol_x(n, r, c.vol_v)

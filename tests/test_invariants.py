@@ -136,7 +136,7 @@ class TestFutakiCheck:
 
     def test_nonvanishing_beta_at_l2_raises(self, monkeypatch):
         # Both betas at -1/10**30 sum to nonzero too; the l = 2 check must fire first.
-        monkeypatch.setattr(invariants, "s_invariant", lambda c, d, vol=None: 1 + Fraction(1, 10 ** 30))
+        monkeypatch.setattr(invariants, "s_invariant", lambda c, d: 1 + Fraction(1, 10 ** 30))
         c = Construction(3, 2, 2, 8)
         with pytest.raises(ArithmeticError, match="l = 2"):
             report(c)
@@ -193,7 +193,7 @@ class TestReport:
     def test_unbalanced_betas_raise_invariant_violation(self, monkeypatch):
         # report() checks the sum itself; the record's ValueError is for records built by hand.
         s_values = {ZS: Fraction(11, 10), IS: Fraction(19, 20)}
-        monkeypatch.setattr(invariants, "s_invariant", lambda c, d, vol=None: s_values[d])
+        monkeypatch.setattr(invariants, "s_invariant", lambda c, d: s_values[d])
         with pytest.raises(InvariantViolation, match="betas must sum to zero; betas are -1/10, 1/20"):
             report(Construction(3, 2, Fraction(1, 2)))
 
@@ -239,8 +239,9 @@ class TestClassificationFields:
 
 
 class TestReportWork:
-    @pytest.mark.parametrize("l", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)])
-    def test_one_vol_y_and_each_s_once(self, monkeypatch, l):
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of top_power, s_invariant, vol_y and Poly.__pow__, by name."""
         counts = Counter()
 
         def counting(name, fn):
@@ -252,15 +253,29 @@ class TestReportWork:
         top = counting("top_power", geometry.top_power)
         for module in (geometry, nef, invariants):
             monkeypatch.setattr(module, "top_power", top)
-        monkeypatch.setattr(invariants, "s_invariant", counting("s_invariant", invariants.s_invariant))
+        for name in ("s_invariant", "vol_y"):
+            monkeypatch.setattr(invariants, name, counting(name, getattr(invariants, name)))
         monkeypatch.setattr(Poly, "__pow__", counting("poly_pow", Poly.__pow__))
+        return counts
+
+    @pytest.mark.parametrize("l", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)])
+    def test_one_vol_y_and_each_s_once(self, counts, l):
         report(Construction(4, Fraction(5, 2), l, Fraction(5)))
         # vol_y once, then two segment volumes for each of the two S invariants.
         # Each two-ladder class raises three powers (z^n, or z^(n-1) at l = 1,
         # and one per ladder).  Each [1, 2] positive part has one zero ladder,
         # and at l = 1 the V_0 segment's lone n y z^(n-1) needs no z^n.
         powers = 12 if l == 1 else 13
-        assert counts == {"top_power": 5, "s_invariant": 2, "poly_pow": powers}
+        assert counts == {"top_power": 5, "s_invariant": 2, "vol_y": 1, "poly_pow": powers}
+
+    @pytest.mark.parametrize("l", [Fraction(0), Fraction(1), Fraction(2)])
+    def test_lone_s_invariant_computes_no_vol_y(self, counts, l):
+        # S divides by its own profile's value at t = 0: two segment volumes
+        # and no separate vol_y.
+        for d in (ZS, IS):
+            counts.clear()
+            invariants.s_invariant(Construction(4, Fraction(5, 2), l, Fraction(5)), d)
+            assert (counts["top_power"], counts["vol_y"]) == (2, 0)
 
 
 class TestVolY:

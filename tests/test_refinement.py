@@ -135,6 +135,15 @@ class TestConvergenceTable:
         rows = convergence_table(C33, P2, [4])
         assert len(rows) == 1 and rows[0].m == 4
 
+    def test_repeated_level_computed_once(self, monkeypatch):
+        levels = []
+        real = refinement.a_m
+        monkeypatch.setattr(refinement, "a_m", lambda c, h, m: levels.append(m) or real(c, h, m))
+        rows = convergence_table(C33, P2, [2, 2, 1])
+        assert [row.m for row in rows] == [1, 2]
+        assert [row.a_m for row in rows] == [Fraction(3, 11), Fraction(51, 200)]
+        assert levels == [1, 2]
+
     def test_strictly_decreasing_through_m64(self):
         rows = convergence_table(C33, P2, [1, 2, 4, 8, 16, 32, 64])
         assert all(a.a_m > b.a_m for a, b in zip(rows, rows[1:]))
