@@ -15,7 +15,8 @@ Recognized keys: ``n`` (integer, 2 <= n <= MAX_DIM), ``r``, ``l``, ``vol_v``
 (optional, default 1), and the optional expectations ``expect_a`` (the entry
 must reduce to a pair with exactly this coefficient) and
 ``expect_destabilizer`` (``zero-section`` or ``infinity-section``; the entry
-must be K-unstable with exactly this destabilizer).  Entries without
+must be K-unstable with exactly this destabilizer).  An entry sets at most
+one of the two, since no classification meets both.  Entries without
 expectations are report-only.  A rational has at most MAX_BITS bits in its
 numerator and in its denominator, and no exponent.
 A ``;`` after a value starts a comment.  ``[DEFAULT]`` is refused: INI
@@ -114,6 +115,11 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
     for key in ("n", "r", "l"):
         if key not in section:
             raise CatalogError(f"entry [{name}]: missing required key '{key}'")
+    if "expect_a" in section and "expect_destabilizer" in section:
+        raise CatalogError(
+            f"entry [{name}]: expect_a and expect_destabilizer exclude each other; "
+            "no classification can meet both"
+        )
     try:
         construction = Construction(
             n=bounded_dim(section["n"]),

@@ -12,13 +12,15 @@ Rationals cross the boundary as exact "p/q" strings; decimals are display
 only.  Input is bounded: --dim by catalog.MAX_DIM, the numerator and
 denominator of each rational flag by catalog.MAX_BITS bits, and the sum of
 the --m levels by MAX_M.  Exit codes: 0 success, 1 expectation mismatch,
-2 invalid input (a bound included), 3 internal fault of any kind.
+2 invalid input (a bound included), 3 internal fault of any kind, 4 the
+result could not be written to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -38,7 +40,7 @@ from .refinement import HilbertFunction, convergence_table, hilbert_projective_s
 
 __all__ = ["main", "entrypoint"]
 
-OK, MISMATCH, INVALID, INTERNAL = 0, 1, 2, 3
+OK, MISMATCH, INVALID, INTERNAL, UNWRITABLE = 0, 1, 2, 3, 4
 # refine builds 2m + 1 rows at each level m, so the levels' total is bounded.
 MAX_M = 65536
 
@@ -216,7 +218,19 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL
-    _write(args, document, lines)
+    try:
+        _write(args, document, lines)
+        sys.stdout.flush()
+    except (OSError, UnicodeEncodeError) as exc:
+        if isinstance(exc, OSError):
+            # A closed pipe or a full device: what is still buffered cannot be
+            # delivered, so send it to devnull, or the interpreter's final
+            # flush fails again and exits 120.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return UNWRITABLE
     return code
 
 

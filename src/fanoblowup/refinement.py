@@ -19,6 +19,7 @@ without touching the summation.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import comb
 from typing import Callable, Iterable, NamedTuple
 
@@ -113,21 +114,22 @@ def basis_profile(c: Construction, h: HilbertFunction, m: int) -> BasisProfile:
             f"m*r = {mr} is not an integer for m = {m}; use multiples of {c.r.denominator}"
         )
     # N_{m,j} = N_{m,2m-j} depends on j only through |m - j|: one count per distance.
-    by_distance = [h(int(mr) - dist) for dist in range(m + 1)]
-    rows = []
-    for j in range(2 * m + 1):
-        rows.append(ProfileRow(j=j, sections=by_distance[abs(m - j)], fixed=max(0, j - m)))
-    profile = BasisProfile(m=m, rows=tuple(rows))
-    if profile.total_sections <= 0:
+    counts = [h(int(mr) - i) for i in range(m + 1)]
+    if 2 * sum(counts) - counts[0] <= 0:  # N_m = h(mr) + 2 sum_{i=1..m} h(mr - i)
         raise InvariantViolation(f"no sections at level m = {m} for {h.description}")
-    return profile
+    # Row j < m has distance m - j and a_{m,j} = 0; row j = m + i has distance i and a_{m,j} = i.
+    sections = chain(counts[:0:-1], counts)
+    fixed = chain(repeat(0, m), range(m + 1))
+    return BasisProfile(m, tuple(map(ProfileRow, range(2 * m + 1), sections, fixed)))
 
 
 def a_m(c: Construction, h: HilbertFunction, m: int) -> Fraction:
     """Exact fixed-part coefficient a_m = sum_j N_{m,j} a_{m,j} / (m N_m)."""
-    profile = basis_profile(c, h, m)
-    weighted = sum(row.sections * row.fixed for row in profile.rows)
-    return Fraction(weighted, m * profile.total_sections)
+    total = weighted = 0
+    for _, sections, fixed in basis_profile(c, h, m).rows:
+        total += sections
+        weighted += sections * fixed
+    return Fraction(weighted, m * total)
 
 
 class ConvergenceRow(NamedTuple):

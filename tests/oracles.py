@@ -187,3 +187,48 @@ def quad_beta_inf_normalized(n: int, r: float, l: float) -> float:
 def rel_err(exact: Fraction, approx: float) -> float:
     scale = max(1.0, abs(float(exact)))
     return abs(float(exact) - approx) / scale
+
+
+def binom_int(n: int, k: int) -> int:
+    """C(n, k) in integers: after step i the running value is C(n-k+i, i), exact at every step."""
+    if k > n:
+        return 0
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (n - k + i) // i
+    return value
+
+
+def refinement_rows_unfolded(s: int, d: int, m: int) -> list[tuple[int, int, int]]:
+    """Rows (j, N_{m,j}, a_{m,j}) for V = P^s, L = O(d), from the definition.
+
+    With r = (s+1)/d, weight j = 0..2m has movable part (m r - |m - j|) L, whose
+    sections number C((m r - |m - j|) d + s, s), and fixed part max(0, j - m) B.
+    Every one of the 2m + 1 rows is counted on its own, with no symmetry used.
+    """
+    mr = Fraction(m * (s + 1), d)
+    if mr.denominator != 1:
+        raise ValueError(f"m*r = {mr} is not an integer")
+    return [(j, binom_int((mr.numerator - abs(m - j)) * d + s, s), max(0, j - m)) for j in range(2 * m + 1)]
+
+
+def a_m_unfolded(s: int, d: int, m: int) -> Fraction:
+    """a_m = sum_j N_{m,j} a_{m,j} / (m sum_j N_{m,j}) over the unfolded rows."""
+    rows = refinement_rows_unfolded(s, d, m)
+    return Fraction(sum(n * a for _, n, a in rows), m * sum(n for _, n, _ in rows))
+
+
+def a_m_hockey_stick_d1(s: int, m: int) -> Fraction:
+    """a_m for V = P^s, L = O(1) in closed form, with h(k) = C(k+s, s) and mr = m(s+1).
+
+    The rows j = m + i (i = 1..m) and their mirrors j = m - i have degree k = mr - i,
+    so N_m = h(mr) + 2 S0 and W_m = sum_i i h(mr - i) = mr S0 - S1 with
+    S0 = sum_k h(k) and S1 = sum_k k h(k) over k = mr-m..mr-1.  The hockey stick
+    sum_{k=A..B} C(k+c, c) = C(B+c+1, c+1) - C(A+c, c+1) gives S0 at c = s, and
+    at c = s+1 gives S1 through k C(k+s, s) = (s+1) C(k+s, s+1).
+    """
+    mr = m * (s + 1)
+    lo, hi = mr - m, mr - 1
+    s0 = binom_int(hi + s + 1, s + 1) - binom_int(lo + s, s + 1)
+    s1 = (s + 1) * (binom_int(hi + s + 1, s + 2) - binom_int(lo + s, s + 2))
+    return Fraction(mr * s0 - s1, m * (binom_int(mr + s, s) + 2 * s0))

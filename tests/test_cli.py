@@ -231,6 +231,14 @@ class TestCatalog:
         assert code == 2
         assert "[DEFAULT]" in err and out == ""
 
+    def test_both_expectations_exit_2(self, tmp_path, capsys, monkeypatch):
+        refuse_computation(monkeypatch)
+        path = tmp_path / "both.cfg"
+        path.write_text(PAIR_ENTRY.format(expected="11/56") + "expect_destabilizer = zero-section\n", encoding="utf-8")
+        code, out, err = run(capsys, "catalog", str(path))
+        assert (code, out) == (2, "")
+        assert "entry [family-4.2]: expect_a and expect_destabilizer exclude each other" in err
+
     @pytest.mark.parametrize("flags", [[], ["--quiet"], ["--json"]])
     def test_unknown_classification_exits_3(self, capsys, monkeypatch, flags):
         with_unknown_classification(monkeypatch, catalog)
@@ -363,14 +371,57 @@ class TestBounds:
         assert code == 0 and Fraction(out) > 0
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_process(stdout, unbuffered: bool, *argv, **env) -> subprocess.CompletedProcess:
+    """Run the CLI in its own interpreter with the given stdout, buffered or not."""
+    base = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    base.update(PYTHONPATH=str(SRC), **env)
+    if unbuffered:
+        base["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "fanoblowup.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=base, text=True
+    )
+
+
+class TestUnwritableOutput:
+    """A result that cannot be written exits 4 with one line on stderr, never a traceback."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_full_device_exits_4(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            done = run_cli_process(full, unbuffered, "catalog")
+        assert done.returncode == 4
+        assert done.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_exits_4(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_cli_process(write_end, unbuffered, "catalog")
+        finally:
+            os.close(write_end)
+        assert done.returncode == 4
+        assert done.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+    def test_unencodable_text_exits_4(self):
+        mismatch = SRC.parent / "tests" / "data" / "mismatch_catalog.cfg"
+        done = run_cli_process(subprocess.PIPE, False, "catalog", str(mismatch), PYTHONIOENCODING="ascii")
+        assert done.returncode == 4
+        assert done.stderr.startswith("error: cannot write output: 'ascii' codec can't encode character")
+        assert done.stderr.count("\n") == 1
+
+
 class TestImportCost:
     def test_import_leaves_out_slow_stdlib_modules(self):
         """Every CLI call pays for the import: no dataclasses (it pulls in inspect) or configparser."""
-        src = Path(__file__).resolve().parent.parent / "src"
         probe = "import sys, fanoblowup.cli; print(sorted({'dataclasses', 'inspect', 'configparser'} & set(sys.modules)))"
         done = subprocess.run(
             [sys.executable, "-c", probe],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True,
             text=True,
             check=True,

@@ -16,8 +16,18 @@ from fanoblowup import (
     hilbert_projective_space,
 )
 
+from oracles import a_m_hockey_stick_d1, a_m_unfolded, refinement_rows_unfolded
+
 P2 = hilbert_projective_space(2, 1)
 C33 = Construction(3, 3, 2, 9)
+# Every base P^s with L = O(d), s <= 6 and r = (s+1)/d > 1.
+SMALL_BASES = [(s, d) for s in range(1, 7) for d in range(1, s + 1)]
+
+
+def base_case(s: int, d: int) -> tuple[Construction, HilbertFunction, int]:
+    """The l = 2 construction over ps:s:d, its section counter and its stride in m."""
+    r = Fraction(s + 1, d)
+    return Construction(s + 1, r, 2), hilbert_projective_space(s, d), r.denominator
 
 
 class TestHilbertProjectiveSpace:
@@ -94,7 +104,6 @@ class TestBasisProfile:
         with pytest.raises(ValueError):
             basis_profile(C33, P2, 0)
 
-
     def test_no_sections_raises_invariant_violation(self):
         # An explicit check, not an assert: the suite also runs under python -O.
         empty = HilbertFunction("no sections", 2, Fraction(3), lambda k: 0)
@@ -118,6 +127,38 @@ class TestAm:
         c = Construction(3, Fraction(3, 2), 2, 9)
         h = hilbert_projective_space(2, 2)
         assert a_m(c, h, 2) == Fraction(27, 140)
+
+
+class TestAgainstDefinition:
+    """basis_profile and a_m against tests/oracles.py, which shares no code with them."""
+
+    @pytest.mark.parametrize("s, d", SMALL_BASES)
+    def test_every_valid_level_through_m64(self, s, d):
+        c, h, stride = base_case(s, d)
+        for m in range(stride, 65, stride):
+            rows = refinement_rows_unfolded(s, d, m)
+            profile = basis_profile(c, h, m)
+            assert profile.m == m
+            assert [tuple(row) for row in profile.rows] == rows
+            assert profile.total_sections == sum(n for _, n, _ in rows)
+            assert a_m(c, h, m) == a_m_unfolded(s, d, m)
+            if d == 1:
+                assert a_m(c, h, m) == a_m_hockey_stick_d1(s, m)
+
+    @pytest.mark.parametrize("s, d", [(6, 1), (4, 2)])
+    @pytest.mark.parametrize("m", [4096, 16384])
+    def test_large_levels(self, s, d, m):
+        c, h, stride = base_case(s, d)
+        assert m % stride == 0
+        assert a_m(c, h, m) == a_m_unfolded(s, d, m)
+        if d == 1:
+            assert a_m(c, h, m) == a_m_hockey_stick_d1(s, m)
+
+    def test_hilbert_called_once_per_distance(self):
+        calls = []
+        counted = HilbertFunction("counted P^2", 2, Fraction(3), lambda k: calls.append(k) or P2(k))
+        assert a_m(C33, counted, 5) == a_m(C33, P2, 5)
+        assert sorted(calls) == list(range(10, 16))
 
 
 class TestConvergenceTable:
