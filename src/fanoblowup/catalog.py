@@ -15,10 +15,11 @@ Recognized keys: ``n`` (integer, 2 <= n <= MAX_DIM), ``r``, ``l``, ``vol_v``
 (optional, default 1), and the optional expectations ``expect_a`` (the entry
 must reduce to a pair with exactly this coefficient) and
 ``expect_destabilizer`` (``zero-section`` or ``infinity-section``; the entry
-must be K-unstable with exactly this destabilizer).  An entry sets at most
-one of the two, since no classification meets both.  Entries without
-expectations are report-only.  A rational has at most MAX_BITS bits in its
-numerator and in its denominator, and no exponent.
+must be K-unstable with exactly this destabilizer).  l decides which one an
+entry may set: l = 2 reduces to a pair, so only ``expect_a``, and any other
+l is K-unstable, so only ``expect_destabilizer``; the other key is refused
+at load.  Entries without expectations are report-only.  A rational has at
+most MAX_BITS bits in its numerator and in its denominator, and no exponent.
 A ``;`` after a value starts a comment.  ``[DEFAULT]`` is refused: INI
 readers merge its keys into every other section.
 """
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 from .exactmath import as_rational
 from .geometry import Construction
-from .invariants import InvariantReport, KUnstable, ReducesToPair, classification_text, report
+from .invariants import InvariantReport, classification_fields, classification_text, report
 from .nef import HorizontalDivisor
 
 __all__ = [
@@ -115,11 +116,6 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
     for key in ("n", "r", "l"):
         if key not in section:
             raise CatalogError(f"entry [{name}]: missing required key '{key}'")
-    if "expect_a" in section and "expect_destabilizer" in section:
-        raise CatalogError(
-            f"entry [{name}]: expect_a and expect_destabilizer exclude each other; "
-            "no classification can meet both"
-        )
     try:
         construction = Construction(
             n=bounded_dim(section["n"]),
@@ -130,6 +126,13 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
         expect_a = bounded_rational(section["expect_a"]) if "expect_a" in section else None
     except ValueError as exc:
         raise CatalogError(f"entry [{name}]: {exc}") from exc
+    # l alone decides the kind of verdict, so it rules out one expectation key.
+    unmeetable = "expect_destabilizer" if construction.l == 2 else "expect_a"
+    if unmeetable in section:
+        raise CatalogError(
+            f"entry [{name}]: {unmeetable} cannot be met at l = {construction.l}; "
+            "l = 2 reduces to a pair (expect_a) and any other l is K-unstable (expect_destabilizer)"
+        )
     expect_destab = None
     if "expect_destabilizer" in section:
         raw = section["expect_destabilizer"].strip()
@@ -169,21 +172,15 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
 
 
 def _check_expectations(entry: CatalogEntry, rep: InvariantReport) -> tuple[bool, str]:
-    cls = rep.classification
-    got = classification_text(cls)
+    got = classification_text(rep.classification)
     if entry.expect_a is not None:
-        if not isinstance(cls, ReducesToPair):
-            return False, f"expected reduces-to-pair, got {got}"
-        if cls.a != entry.expect_a:
-            return False, f"a = {cls.a} ≠ {entry.expect_a}"
-    if entry.expect_destabilizer is not None:
-        if not isinstance(cls, KUnstable):
-            return False, f"expected k-unstable, got {got}"
-        if cls.destabilizer is not entry.expect_destabilizer:
-            return False, (
-                f"destabilizer = {cls.destabilizer.value} ≠ {entry.expect_destabilizer.value}"
-            )
-    return True, got
+        key, expected = "a", str(entry.expect_a)
+    elif entry.expect_destabilizer is not None:
+        key, expected = "destabilizer", entry.expect_destabilizer.value
+    else:
+        return True, got
+    value = classification_fields(rep.classification)[key]
+    return (True, got) if value == expected else (False, f"{key} = {value} ≠ {expected}")
 
 
 def run_catalog(entries: list[CatalogEntry]) -> list[EntryResult]:

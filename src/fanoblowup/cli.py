@@ -74,10 +74,15 @@ def _m_list(text: str) -> list[int]:
 
 
 def _base_flag(text: str) -> HilbertFunction:
-    parts = text.split(":")
-    if len(parts) != 3 or parts[0] != "ps":
-        raise ValueError(f"unknown base {text!r}; supported form: ps:<s>:<d>")
-    return hilbert_projective_space(int(parts[1]), int(parts[2]))
+    kind, *sizes = text.split(":")
+    if kind == "ps" and len(sizes) == 2:
+        try:
+            s, d = map(int, sizes)
+        except ValueError:
+            pass
+        else:
+            return hilbert_projective_space(s, d)
+    raise ValueError(f"unknown base {text!r}; supported form: ps:<s>:<d>")
 
 
 def _report_dict(c: Construction, rep: InvariantReport) -> dict:

@@ -128,31 +128,21 @@ def classify(c: Construction) -> Classification:
     return report(c).classification
 
 
-class _InvariantReportFields(NamedTuple):
+class InvariantReport(NamedTuple):
+    """All exact invariants of one construction; each beta is derived from its S."""
+
     vol_y: Fraction
     s_v0: Fraction
     s_vinf: Fraction
-    beta_v0: Fraction
-    beta_vinf: Fraction
     classification: Classification
 
+    @property
+    def beta_v0(self) -> Fraction:
+        return 1 - self.s_v0
 
-class InvariantReport(_InvariantReportFields):
-    """All exact invariants of one construction, with their coupled identities."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "InvariantReport":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.beta_v0 != 1 - self.s_v0 or self.beta_vinf != 1 - self.s_vinf:
-            raise ValueError("beta must equal 1 - S for a prime divisor")
-        if self.beta_v0 + self.beta_vinf != 0:
-            raise ValueError("horizontal betas must sum to zero")
-        return self
-
-    @classmethod
-    def _make(cls, fields) -> "InvariantReport":
-        return cls(*fields)
+    @property
+    def beta_vinf(self) -> Fraction:
+        return 1 - self.s_vinf
 
 
 def report(c: Construction) -> InvariantReport:
@@ -180,11 +170,4 @@ def report(c: Construction) -> InvariantReport:
         classification = KUnstable(HorizontalDivisor.INFINITY_SECTION, beta_vinf)
     else:
         raise InvariantViolation(f"no strictly negative beta at l = {c.l}; betas are {beta_v0}, {beta_vinf}")
-    return InvariantReport(
-        vol_y=vol_y(c),
-        s_v0=s_v0,
-        s_vinf=s_vinf,
-        beta_v0=beta_v0,
-        beta_vinf=beta_vinf,
-        classification=classification,
-    )
+    return InvariantReport(vol_y(c), s_v0, s_vinf, classification)

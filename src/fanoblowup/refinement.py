@@ -80,11 +80,7 @@ class BasisProfile(NamedTuple):
 
     m: int
     rows: tuple[ProfileRow, ...]
-
-    @property
-    def total_sections(self) -> int:
-        """N_m, the total dimension over all weights."""
-        return sum(row.sections for row in self.rows)
+    total_sections: int  # N_m, the total dimension over all weights
 
 
 def _check_base(c: Construction, h: HilbertFunction) -> None:
@@ -115,21 +111,20 @@ def basis_profile(c: Construction, h: HilbertFunction, m: int) -> BasisProfile:
         )
     # N_{m,j} = N_{m,2m-j} depends on j only through |m - j|: one count per distance.
     counts = [h(int(mr) - i) for i in range(m + 1)]
-    if 2 * sum(counts) - counts[0] <= 0:  # N_m = h(mr) + 2 sum_{i=1..m} h(mr - i)
+    total = 2 * sum(counts) - counts[0]  # N_m = h(mr) + 2 sum_{i=1..m} h(mr - i)
+    if total <= 0:
         raise InvariantViolation(f"no sections at level m = {m} for {h.description}")
     # Row j < m has distance m - j and a_{m,j} = 0; row j = m + i has distance i and a_{m,j} = i.
     sections = chain(counts[:0:-1], counts)
     fixed = chain(repeat(0, m), range(m + 1))
-    return BasisProfile(m, tuple(map(ProfileRow, range(2 * m + 1), sections, fixed)))
+    return BasisProfile(m, tuple(map(ProfileRow, range(2 * m + 1), sections, fixed)), total)
 
 
 def a_m(c: Construction, h: HilbertFunction, m: int) -> Fraction:
     """Exact fixed-part coefficient a_m = sum_j N_{m,j} a_{m,j} / (m N_m)."""
-    total = weighted = 0
-    for _, sections, fixed in basis_profile(c, h, m).rows:
-        total += sections
-        weighted += sections * fixed
-    return Fraction(weighted, m * total)
+    profile = basis_profile(c, h, m)
+    weighted = sum(sections * fixed for _, sections, fixed in profile.rows)
+    return Fraction(weighted, m * profile.total_sections)
 
 
 class ConvergenceRow(NamedTuple):

@@ -237,7 +237,7 @@ class TestCatalog:
         path.write_text(PAIR_ENTRY.format(expected="11/56") + "expect_destabilizer = zero-section\n", encoding="utf-8")
         code, out, err = run(capsys, "catalog", str(path))
         assert (code, out) == (2, "")
-        assert "entry [family-4.2]: expect_a and expect_destabilizer exclude each other" in err
+        assert "entry [family-4.2]: expect_destabilizer cannot be met at l = 2" in err
 
     @pytest.mark.parametrize("flags", [[], ["--quiet"], ["--json"]])
     def test_unknown_classification_exits_3(self, capsys, monkeypatch, flags):
@@ -246,19 +246,37 @@ class TestCatalog:
         assert (code, out) == (3, "")
         assert err.startswith("internal error: unknown classification")
 
-    def test_wrong_kind_details(self, tmp_path, capsys):
+    def test_wrong_kind_details(self, tmp_path, capsys, monkeypatch):
+        # l fixes the kind of verdict, so an expectation of the other kind is refused at load.
+        refuse_computation(monkeypatch)
         path = tmp_path / "kinds.cfg"
         path.write_text(
             "[unstable]\nn = 3\nr = 3\nl = 3\nexpect_a = 1/2\n"
             "[pair]\nn = 3\nr = 2\nl = 2\nexpect_destabilizer = zero-section\n",
             encoding="utf-8",
         )
+        code, out, err = run(capsys, "catalog", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: entry [unstable]: expect_a cannot be met at l = 3; ")
+
+    @pytest.mark.parametrize("l", ["0", "1/2", "1", "3/2", "2", "3"])
+    def test_l_decides_the_expectation_key(self, tmp_path, capsys, monkeypatch, l):
+        # One l from each branch of report(): 0, (0, 1), 1, (1, 2), 2 and (2, r + 1) at r = 3.
+        verdict = invariants.report(Construction(3, 3, Fraction(l))).classification
+        fields = invariants.classification_fields(verdict)
+        if "a" in fields:
+            met, unmet = f"expect_a = {fields['a']}", "expect_destabilizer = zero-section"
+        else:
+            met, unmet = f"expect_destabilizer = {fields['destabilizer']}", "expect_a = 1/2"
+        path = tmp_path / "entry.cfg"
+        path.write_text(f"[entry]\nn = 3\nr = 3\nl = {l}\n{met}\n", encoding="utf-8")
         code, out, _ = run(capsys, "catalog", str(path))
-        assert code == 1
-        assert out.splitlines()[:2] == [
-            "FAIL unstable: expected reduces-to-pair, got k-unstable destabilizer=infinity-section beta=-15/128",
-            "FAIL pair: expected k-unstable, got reduces-to-pair a=11/56",
-        ]
+        assert (code, out) == (0, f"PASS entry: {invariants.classification_text(verdict)}\n1/1 entries passed\n")
+        refuse_computation(monkeypatch)
+        path.write_text(f"[entry]\nn = 3\nr = 3\nl = {l}\n{unmet}\n", encoding="utf-8")
+        code, out, err = run(capsys, "catalog", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: entry [entry]: {unmet.split()[0]} cannot be met at l = {l}; ")
 
     @pytest.mark.parametrize(
         "key, value, reason",
@@ -330,10 +348,12 @@ class TestRefine:
         assert (code, out) == (3, "")
         assert err.startswith("internal error: finite-m value unexpectedly equals the limit at m = 1")
 
-    def test_unknown_base_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["refine", "--dim", "3", "--index", "3", "--base", "grassmannian:2:4", "--m", "1"])
-        assert exc.value.code == 2
+    def test_unknown_base_exits_2(self, capsys):
+        for base in ("grassmannian:2:4", "ps:2:x", "ps:x:1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["refine", "--dim", "3", "--index", "3", "--base", base, "--m", "1"])
+            assert exc.value.code == 2
+            assert f"unknown base {base!r}; supported form: ps:<s>:<d>" in capsys.readouterr().err
 
 
 class TestGlobalFlags:

@@ -114,6 +114,7 @@ headers = st.one_of(st.just("[entry-{i}]"), st.sampled_from(["[DEFAULT]", "[entr
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(flags=FLAGS, sections=st.lists(st.tuples(headers, entries), max_size=3))
 @example(flags=[], sections=[("[entry-{i}]", {"n": "3", "r": "2", "l": "2", "expect_a": "1/2"})])
+@example(flags=[], sections=[("[entry-{i}]", {"n": "3", "r": "2", "l": "1", "expect_a": "11/56"})])
 @example(flags=["--json"], sections=[("[DEFAULT]", {"n": "3", "r": "2", "l": "2"})])
 def test_catalog(tmp_path, flags, sections):
     lines = []

@@ -191,36 +191,27 @@ class TestReport:
         assert rep.beta_v0 + rep.beta_vinf == 0
 
     def test_unbalanced_betas_raise_invariant_violation(self, monkeypatch):
-        # report() checks the sum itself; the record's ValueError is for records built by hand.
+        # report() is the one place that checks the betas.
         s_values = {ZS: Fraction(11, 10), IS: Fraction(19, 20)}
         monkeypatch.setattr(invariants, "s_invariant", lambda c, d: s_values[d])
         with pytest.raises(InvariantViolation, match="betas must sum to zero; betas are -1/10, 1/20"):
             report(Construction(3, 2, Fraction(1, 2)))
 
     def test_replace_is_checked(self):
+        # The record stores S only: a beta cannot be replaced, and a replaced S moves its beta.
         rep = report(Construction(3, 2, 0))
         with pytest.raises(ValueError):
             rep._replace(beta_v0=rep.beta_v0 + 1)
+        moved = rep._replace(s_v0=rep.s_v0 + 1)
+        assert (moved.beta_v0, moved.beta_vinf) == (rep.beta_v0 - 1, rep.beta_vinf)
 
     def test_report_rejects_inconsistent_fields(self):
-        with pytest.raises(ValueError):
-            InvariantReport(
-                vol_y=Fraction(1),
-                s_v0=Fraction(1),
-                s_vinf=Fraction(1),
-                beta_v0=Fraction(1, 2),
-                beta_vinf=Fraction(0),
-                classification=ReducesToPair(Fraction(1, 4)),
-            )
-        with pytest.raises(ValueError):
-            InvariantReport(
-                vol_y=Fraction(1),
-                s_v0=Fraction(1, 2),
-                s_vinf=Fraction(1, 2),
-                beta_v0=Fraction(1, 2),
-                beta_vinf=Fraction(1, 2),
-                classification=ReducesToPair(Fraction(1, 4)),
-            )
+        # No record can hold a beta other than 1 - S: betas are not fields.
+        assert InvariantReport._fields == ("vol_y", "s_v0", "s_vinf", "classification")
+        rep = InvariantReport(Fraction(1), Fraction(1, 2), Fraction(3, 2), ReducesToPair(Fraction(1, 4)))
+        assert (rep.beta_v0, rep.beta_vinf) == (Fraction(1, 2), Fraction(-1, 2))
+        with pytest.raises(TypeError):
+            InvariantReport(Fraction(1), Fraction(1), Fraction(1), ReducesToPair(Fraction(1, 4)), beta_v0=Fraction(1, 2))
 
 
 class TestClassificationFields:
