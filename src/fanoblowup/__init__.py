@@ -7,60 +7,26 @@ piecewise Zariski decompositions of -K_Y - t*D for the two horizontal
 divisors, their S- and beta-invariants, the pair-reduction coefficient
 a(n, r) with its finite-m refinement approximations a_m, and the resulting
 K-unstable / reduces-to-pair classification.
+
+The package namespace re-exports each module's ``__all__``; a public name is
+declared once, in its module.
 """
 
-from .catalog import (
-    MAX_BITS,
-    MAX_DIM,
-    CatalogEntry,
-    CatalogError,
-    EntryResult,
-    bounded_dim,
-    bounded_rational,
-    default_catalog_path,
-    load_catalog,
-    run_catalog,
-)
-from .exactmath import ONE, T, ZERO, InvariantViolation, Poly, as_rational
-from .geometry import ClassPoly, Construction, DerivedClasses, derived_classes, top_power
-from .invariants import (
-    Classification,
-    InvariantReport,
-    KUnstable,
-    ReducesToPair,
-    beta,
-    classification_fields,
-    classification_text,
-    classify,
-    coefficient_a,
-    report,
-    s_invariant,
-    vol_y,
-)
-from .nef import HorizontalDivisor, Segment, decompose, volume_profile
-from .refinement import (
-    BasisProfile,
-    ConvergenceRow,
-    HilbertFunction,
-    ProfileRow,
-    a_m,
-    basis_profile,
-    convergence_table,
-    hilbert_projective_space,
-)
+from .exactmath import *
+from .geometry import *
+from .nef import *
+from .invariants import *
+from .refinement import *
+from .catalog import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Poly", "ZERO", "ONE", "T", "as_rational", "InvariantViolation",
-    "Construction", "ClassPoly", "DerivedClasses", "derived_classes", "top_power",
-    "HorizontalDivisor", "Segment", "decompose", "volume_profile",
-    "vol_y", "s_invariant", "beta", "coefficient_a",
-    "ReducesToPair", "KUnstable", "Classification", "classification_fields", "classification_text",
-    "InvariantReport", "classify", "report",
-    "HilbertFunction", "hilbert_projective_space", "ProfileRow", "BasisProfile",
-    "basis_profile", "a_m", "ConvergenceRow", "convergence_table",
-    "MAX_DIM", "MAX_BITS", "bounded_dim", "bounded_rational",
-    "CatalogError", "CatalogEntry", "EntryResult", "default_catalog_path", "load_catalog", "run_catalog",
+    *exactmath.__all__,
+    *geometry.__all__,
+    *nef.__all__,
+    *invariants.__all__,
+    *refinement.__all__,
+    *catalog.__all__,
     "__version__",
 ]

@@ -1,8 +1,8 @@
 """Catalog files: named parameter sets with optional expected classifications.
 
-A catalog is a UTF-8 INI-style document, one section per entry.  Section
-names are entry names; keys are flat ``key = value`` pairs with rationals
-written as ``p/q``:
+A catalog is a UTF-8 INI-style document, one section per entry, and may
+start with a byte-order mark.  Section names are entry names; keys are flat
+``key = value`` pairs with rationals written as ``p/q``:
 
     [family-4.2]
     n = 3
@@ -19,7 +19,8 @@ must be K-unstable with exactly this destabilizer).  l decides which one an
 entry may set: l = 2 reduces to a pair, so only ``expect_a``, and any other
 l is K-unstable, so only ``expect_destabilizer``; the other key is refused
 at load.  Entries without expectations are report-only.  A rational has at
-most MAX_BITS bits in its numerator and in its denominator, and no exponent.
+most MAX_BITS bits in its numerator and in its denominator, no exponent and
+no ``_`` digit separator.
 A ``;`` after a value starts a comment.  ``[DEFAULT]`` is refused: INI
 readers merge its keys into every other section.
 """
@@ -66,8 +67,9 @@ class CatalogError(Exception):
 class CatalogEntry(NamedTuple):
     name: str
     construction: Construction
-    expect_a: Fraction | None = None
-    expect_destabilizer: HorizontalDivisor | None = None
+    # The classification_fields key that l selects ("a" or "destabilizer")
+    # and its exact expected value, or None for a report-only entry.
+    expect: tuple[str, str] | None = None
 
 
 class EntryResult(NamedTuple):
@@ -77,9 +79,19 @@ class EntryResult(NamedTuple):
     detail: str
 
 
+def _refuse_separators(text: str) -> None:
+    # int accepts "3_0" and Fraction does from Python 3.11 on; refused on all.
+    if "_" in text:
+        raise ValueError(f"digit separators '_' are not accepted, got {text!r}")
+
+
 def bounded_dim(text: str) -> int:
-    """The integer n written in text; ValueError above MAX_DIM."""
-    n = int(text)
+    """The integer n written in text; ValueError for other text and above MAX_DIM."""
+    _refuse_separators(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise ValueError(f"n must be an integer, got {text!r}") from None
     if n > MAX_DIM:
         raise ValueError(f"n is limited to {MAX_DIM}, got {n}")
     return n
@@ -89,12 +101,14 @@ def bounded_rational(text: str) -> Fraction:
     """The exact rational written in text, as an integer, decimal or p/q.
 
     Raises ValueError for malformed text, for a numerator or denominator of
-    more than MAX_BITS bits, and for exponent notation, which is refused
+    more than MAX_BITS bits, for exponent notation, which is refused
     before conversion because Fraction expands "1e999999999" into a power
-    of ten.
+    of ten, and for ``_`` digit separators, which only some Python versions
+    accept.
     """
     if "e" in text.lower():
         raise ValueError(f"exponent notation is not accepted, got {text!r}; write an integer or p/q")
+    _refuse_separators(text)
     try:
         value = as_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -133,17 +147,17 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
             f"entry [{name}]: {unmeetable} cannot be met at l = {construction.l}; "
             "l = 2 reduces to a pair (expect_a) and any other l is K-unstable (expect_destabilizer)"
         )
-    expect_destab = None
+    expect = None if expect_a is None else ("a", str(expect_a))
     if "expect_destabilizer" in section:
         raw = section["expect_destabilizer"].strip()
         try:
-            expect_destab = HorizontalDivisor(raw)
+            expect = ("destabilizer", HorizontalDivisor(raw).value)
         except ValueError as exc:
             raise CatalogError(
                 f"entry [{name}]: expect_destabilizer must be 'zero-section' or "
                 f"'infinity-section', got {raw!r}"
             ) from exc
-    return CatalogEntry(name, construction, expect_a, expect_destab)
+    return CatalogEntry(name, construction, expect)
 
 
 def load_catalog(path: str | Path) -> list[CatalogEntry]:
@@ -160,7 +174,7 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
         interpolation=None, strict=True, default_section="\n", inline_comment_prefixes=(";",)
     )
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle, source=str(path))
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
@@ -173,12 +187,9 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
 
 def _check_expectations(entry: CatalogEntry, rep: InvariantReport) -> tuple[bool, str]:
     got = classification_text(rep.classification)
-    if entry.expect_a is not None:
-        key, expected = "a", str(entry.expect_a)
-    elif entry.expect_destabilizer is not None:
-        key, expected = "destabilizer", entry.expect_destabilizer.value
-    else:
+    if entry.expect is None:
         return True, got
+    key, expected = entry.expect
     value = classification_fields(rep.classification)[key]
     return (True, got) if value == expected else (False, f"{key} = {value} ≠ {expected}")
 

@@ -34,7 +34,8 @@ def binom_product(n: int, k: int) -> int:
     value = Fraction(1)
     for i in range(1, k + 1):
         value *= Fraction(n - k + i, i)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"C({n}, {k}) came out as {value}, not an integer")
     return value.numerator
 
 
@@ -149,6 +150,12 @@ def profile_quadrature(c: Construction, d: HorizontalDivisor) -> float:
     return total
 
 
+def _refuse_l_one(l: float) -> None:
+    # Raised, not asserted, so the guard also holds under python -O.
+    if l == 1:
+        raise ValueError("the closed forms divide by 1 - l; l = 1 is not covered")
+
+
 def quad_closed_form_profiles(n: int, r: float, l: float) -> tuple[float, float]:
     """Float quadrature over [0, 2] of the closed-form volume profiles for
     V_0 and Vbar_inf (l != 1), normalized by r^(n-1)/vol(V).
@@ -156,7 +163,7 @@ def quad_closed_form_profiles(n: int, r: float, l: float) -> tuple[float, float]
     The integrands are transcribed from the closed forms, not taken from the
     library pipeline.
     """
-    assert l != 1
+    _refuse_l_one(l)
 
     def prof_inf(t: float) -> float:
         if t <= 1:
@@ -176,7 +183,7 @@ def quad_closed_form_profiles(n: int, r: float, l: float) -> tuple[float, float]
 def quad_beta_inf_normalized(n: int, r: float, l: float) -> float:
     """Float quadrature of the single-integral form of
     r^(n-1) vol(Y) beta(Vbar_inf) / vol(V) over [0, 1], for l != 1."""
-    assert l != 1
+    _refuse_l_one(l)
 
     def integrand(t: float) -> float:
         return ((r - (t - 1) * (1 - l)) ** n - (r + 1 - l) ** n) / (l - 1) + (r - 1) ** n - (r + t - 1) ** n

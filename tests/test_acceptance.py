@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from fanoblowup import (
     Construction,
     HorizontalDivisor,
@@ -145,6 +147,13 @@ def test_criterion_6_family_314_spot_value():
     ok = ok and 9 * vol_y(c) == 32
     ok = ok and beta(c, IS) == Fraction(-15, 4) / 32 == Fraction(-15, 128)
     _check("criterion 6: (3, 3, 3) gives beta(Vbar_inf) = -15/128, factors -15/4 and 32 reproduced by quadrature at 1e-9", ok)
+
+
+@pytest.mark.parametrize("oracle", [quad_closed_form_profiles, quad_beta_inf_normalized])
+def test_quadrature_oracles_refuse_l_one(oracle):
+    """The guard is an explicit raise, so it holds under python -O as well."""
+    with pytest.raises(ValueError, match="l = 1 is not covered"):
+        oracle(3, 3.0, 1.0)
 
 
 def test_criterion_7_refinement_convergence():

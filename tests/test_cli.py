@@ -285,6 +285,9 @@ class TestCatalog:
             ("r", TOO_WIDE, f"limited to {MAX_BITS} bits"),
             ("vol_v", "1e3", "exponent notation is not accepted"),
             ("expect_a", f"1/{2 ** MAX_BITS}", f"limited to {MAX_BITS} bits"),
+            ("r", "3_0/2", "digit separators '_' are not accepted, got '3_0/2'"),
+            ("n", "3_0", "digit separators '_' are not accepted, got '3_0'"),
+            ("n", "3.0", "n must be an integer, got '3.0'"),
         ],
     )
     def test_bounds_exit_2(self, tmp_path, capsys, monkeypatch, key, value, reason):
@@ -295,6 +298,13 @@ class TestCatalog:
         code, out, err = run(capsys, "catalog", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: entry [big]: ") and reason in err
+
+    def test_byte_order_mark_is_read(self, tmp_path, capsys):
+        text = catalog.default_catalog_path().read_text(encoding="utf-8")
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        code, out, _ = run(capsys, "catalog", str(path))
+        assert (code, out) == (0, run(capsys, "catalog")[1])
 
     def test_readme_example_passes(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -376,6 +386,10 @@ class TestBounds:
             (["invariants", "--dim", "3", "--index", "2", "--l", "1", "--vol-v", "1e3"], "exponent notation"),
             (REFINE + ["--m", "100000000"], f"limited to a total of {MAX_M}"),
             (REFINE + ["--m", f"{MAX_M},1"], f"limited to a total of {MAX_M}"),
+            (["coeff", "--dim", "3", "--index", "3_0/2"], "digit separators '_' are not accepted, got '3_0/2'"),
+            (["coeff", "--dim", "3_0", "--index", "2"], "digit separators '_' are not accepted, got '3_0'"),
+            (["coeff", "--dim", "x", "--index", "2"], "n must be an integer, got 'x'"),
+            (["coeff", "--dim", "3.0", "--index", "2"], "n must be an integer, got '3.0'"),
         ],
     )
     def test_refused_with_exit_2(self, capsys, monkeypatch, argv, reason):
