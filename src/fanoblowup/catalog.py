@@ -43,6 +43,7 @@ __all__ = [
     "CatalogError",
     "CatalogEntry",
     "EntryResult",
+    "parse_integer",
     "bounded_dim",
     "bounded_rational",
     "default_catalog_path",
@@ -85,13 +86,18 @@ def _refuse_separators(text: str) -> None:
         raise ValueError(f"digit separators '_' are not accepted, got {text!r}")
 
 
-def bounded_dim(text: str) -> int:
-    """The integer n written in text; ValueError for other text and above MAX_DIM."""
+def parse_integer(text: str, name: str) -> int:
+    """The integer written in text; ValueError naming ``name`` for other text."""
     _refuse_separators(text)
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
-        raise ValueError(f"n must be an integer, got {text!r}") from None
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
+def bounded_dim(text: str) -> int:
+    """The integer n written in text; ValueError for other text and above MAX_DIM."""
+    n = parse_integer(text, "n")
     if n > MAX_DIM:
         raise ValueError(f"n is limited to {MAX_DIM}, got {n}")
     return n

@@ -32,6 +32,7 @@ from .catalog import (
     bounded_rational,
     default_catalog_path,
     load_catalog,
+    parse_integer,
     run_catalog,
 )
 from .geometry import Construction
@@ -62,10 +63,7 @@ def _flag(parse):
 
 
 def _m_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+    values = [parse_integer(part, "m") for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError("need at least one m value")
     if sum(map(abs, values)) > MAX_M:
@@ -75,14 +73,14 @@ def _m_list(text: str) -> list[int]:
 
 def _base_flag(text: str) -> HilbertFunction:
     kind, *sizes = text.split(":")
-    if kind == "ps" and len(sizes) == 2:
-        try:
-            s, d = map(int, sizes)
-        except ValueError:
-            pass
-        else:
-            return hilbert_projective_space(s, d)
-    raise ValueError(f"unknown base {text!r}; supported form: ps:<s>:<d>")
+    unknown = f"unknown base {text!r}; supported form: ps:<s>:<d>"
+    if kind != "ps" or len(sizes) != 2:
+        raise ValueError(unknown)
+    try:
+        s, d = (parse_integer(size, name) for name, size in zip("sd", sizes))
+    except ValueError as exc:
+        raise ValueError(f"{unknown}; {exc}") from None
+    return hilbert_projective_space(s, d)
 
 
 def _report_dict(c: Construction, rep: InvariantReport) -> dict:

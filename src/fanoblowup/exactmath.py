@@ -141,6 +141,14 @@ class Poly:
         if not a or not b:
             return ZERO
         out = [Fraction(0)] * (len(a) + len(b) - 1)
+        if o is self:
+            # A square by symmetry: each cross product a_i a_j (i < j) once, doubled.
+            for i, ca in enumerate(a):
+                out[2 * i] += ca * ca
+                twice = 2 * ca
+                for j in range(i + 1, len(a)):
+                    out[i + j] += twice * a[j]
+            return Poly(out)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
@@ -151,16 +159,18 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a nonnegative integer, got {exponent!r}")
-        result = ONE
-        base = self
-        e = exponent
+        if self.degree < 1:
+            # A constant base, zero included, is one rational power (0 ** 0 == 1).
+            return Poly([(self._coeffs[0] if self else Fraction(0)) ** exponent])
+        # Binary powering; the result starts from the first factor it needs.
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return ONE if result is None else result
 
     def __call__(self, x: RationalLike) -> Fraction:
         """Exact evaluation at x by Horner's rule."""

@@ -390,6 +390,12 @@ class TestBounds:
             (["coeff", "--dim", "3_0", "--index", "2"], "digit separators '_' are not accepted, got '3_0'"),
             (["coeff", "--dim", "x", "--index", "2"], "n must be an integer, got 'x'"),
             (["coeff", "--dim", "3.0", "--index", "2"], "n must be an integer, got '3.0'"),
+            (REFINE + ["--m", "1_0"], "digit separators '_' are not accepted, got '1_0'"),
+            (REFINE + ["--m", "1,x"], "m must be an integer, got 'x'"),
+            (
+                ["refine", "--dim", "3", "--index", "3", "--base", "ps:0_2:1", "--m", "1"],
+                "digit separators '_' are not accepted, got '0_2'",
+            ),
         ],
     )
     def test_refused_with_exit_2(self, capsys, monkeypatch, argv, reason):

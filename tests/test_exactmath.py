@@ -16,9 +16,8 @@ polys_st = st.lists(fractions_st, max_size=6).map(Poly)
 # The integer kernels behind evaluation and integration, at the sizes the
 # volume profiles reach: degree up to 40, 24-bit denominators, and the
 # quarter-integer guard points, 0 and negative rationals as arguments.
-wide_polys_st = st.lists(
-    st.builds(Fraction, st.integers(-(2 ** 24), 2 ** 24), st.integers(1, 2 ** 24)), max_size=41
-).map(Poly)
+wide_coeffs_st = st.builds(Fraction, st.integers(-(2 ** 24), 2 ** 24), st.integers(1, 2 ** 24))
+wide_polys_st = st.lists(wide_coeffs_st, max_size=41).map(Poly)
 any_polys_st = st.one_of(polys_st, wide_polys_st)
 points_st = st.one_of(
     fractions_st,
@@ -88,8 +87,23 @@ class TestPolyBasics:
         assert ((2 - T) ** 4)(1) == 1
 
     def test_pow_rejects_negative(self):
-        with pytest.raises(ValueError):
-            T ** -1
+        # Non-integer exponents too; a constant or zero base takes no fast
+        # path around the exponent check.
+        for base in (T, Poly([2]), ZERO):
+            for exponent in (-1, 1.5):
+                with pytest.raises(ValueError):
+                    base ** exponent
+
+    @given(p=st.lists(wide_coeffs_st, max_size=5).map(Poly), e=st.integers(0, 12))
+    @example(p=ZERO, e=0)
+    @example(p=ZERO, e=3)
+    @example(p=Poly([Fraction(-2, 3)]), e=3)
+    def test_pow_equals_repeated_product(self, p, e):
+        product = ONE
+        for _ in range(e):
+            # product is never p itself, so this is the general product, not a square
+            product = product * p
+        assert p ** e == product
 
     def test_eval_examples(self):
         assert Poly([1, 6, 12, 8])(1) == 27
