@@ -61,7 +61,7 @@ MAX_DIM = 64
 MAX_BITS = 64
 
 
-class CatalogError(Exception):
+class CatalogError(ValueError):
     """Malformed catalog file: syntax, unknown keys, or inadmissible parameters."""
 
 

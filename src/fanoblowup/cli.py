@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from .catalog import (
     MAX_DIM,
-    CatalogError,
     bounded_dim,
     bounded_rational,
     default_catalog_path,
@@ -215,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, document, lines = args.func(args)
-    except (ValueError, CatalogError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
     except Exception as exc:

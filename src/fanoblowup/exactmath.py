@@ -12,7 +12,7 @@ floating point enters anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -64,7 +64,8 @@ class Poly:
 
     ``coeffs[i]`` is the coefficient of ``t**i``; trailing zeros are stripped,
     so the zero polynomial is the empty tuple and otherwise the leading
-    coefficient is nonzero.  Instances are immutable and hashable.
+    coefficient is nonzero.  Instances are immutable and hashable, and a Poly
+    equals only another Poly, never a scalar, so ``==`` agrees with ``hash``.
     """
 
     __slots__ = ("_coeffs",)
@@ -96,10 +97,9 @@ class Poly:
         return bool(self._coeffs)
 
     def __eq__(self, other) -> bool:
-        o = Poly._coerce(other)
-        if o is None:
+        if not isinstance(other, Poly):
             return NotImplemented
-        return self._coeffs == o._coeffs
+        return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         return hash(self._coeffs)
@@ -181,23 +181,20 @@ class Poly:
     def integrate(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         """Exact definite integral over [lo, hi].
 
-        The antiderivative sum c_i x^{i+1}/(i+1) is x G(x) / m, where m is
-        lcm(1..d+1) and G has the coefficients c_i m/(i+1); G is evaluated at
-        hi and at lo by the integer Horner kernel.
+        The antiderivative sum c_i x^(i+1)/(i+1), with c_i = p_i/q_i, is the
+        integer pairs (p_i, q_i (i+1)), leading term first, then (0, 1) for its
+        zero constant term; it is evaluated at hi and at lo by the Horner
+        kernel that __call__ uses.
         """
         lo, hi = as_rational(lo), as_rational(hi)
         if lo > hi:
             raise ValueError(f"integration bounds out of order: {lo} > {hi}")
         cs = self._coeffs
-        m = lcm(*range(1, len(cs) + 1))
-        pairs = [(cs[i].numerator * (m // (i + 1)), cs[i].denominator) for i in reversed(range(len(cs)))]
-        g_hi, e_hi = _horner(pairs, hi.numerator, hi.denominator)
-        g_lo, e_lo = _horner(pairs, lo.numerator, lo.denominator)
-        # (hi G(hi) - lo G(lo)) / m, over one common denominator
-        return Fraction(
-            hi.numerator * g_hi * lo.denominator * e_lo - lo.numerator * g_lo * hi.denominator * e_hi,
-            hi.denominator * e_hi * lo.denominator * e_lo * m,
-        )
+        pairs = [(cs[i].numerator, cs[i].denominator * (i + 1)) for i in reversed(range(len(cs)))]
+        pairs.append((0, 1))
+        u, p = _horner(pairs, hi.numerator, hi.denominator)
+        v, q = _horner(pairs, lo.numerator, lo.denominator)
+        return Fraction(u * q - v * p, p * q)
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self._coeffs]})"

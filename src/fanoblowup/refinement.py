@@ -44,6 +44,8 @@ class HilbertFunction(NamedTuple):
 
     dim is the dimension of V and index the proportionality r with
     -K_V ~ index * L; both are checked against a Construction before use.
+    The shipped counter agrees with a degree-dim polynomial for every k >= 0
+    (Kawamata-Viehweg: h^0(kL) = chi(kL) for V Fano and L ample).
     """
 
     description: str

@@ -239,3 +239,25 @@ def a_m_hockey_stick_d1(s: int, m: int) -> Fraction:
     s0 = binom_int(hi + s + 1, s + 1) - binom_int(lo + s, s + 1)
     s1 = (s + 1) * (binom_int(hi + s + 1, s + 2) - binom_int(lo + s, s + 2))
     return Fraction(mr * s0 - s1, m * (binom_int(mr + s, s) + 2 * s0))
+
+
+def interpolate(points) -> list[Fraction]:
+    """Coefficients, lowest degree first and trailing zeros stripped, of the
+    polynomial of degree below len(points) through the points (x, y).
+
+    Newton's divided differences in exact Fractions, expanded by Horner's rule
+    on coefficient lists; no Poly is used.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    diffs = [Fraction(y) for _, y in points]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    coeffs: list[Fraction] = []
+    for x, diff in zip(reversed(xs), reversed(diffs)):
+        # coeffs <- coeffs * (t - x) + diff
+        coeffs = _coeff_mul(coeffs, [-x, Fraction(1)]) or [Fraction(0)]
+        coeffs[0] += diff
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs

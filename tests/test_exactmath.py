@@ -114,6 +114,39 @@ class TestPolyBasics:
         assert Poly(["1/2", "3/2"])(2) == Fraction(7, 2)
 
 
+class TestPolyEquality:
+    """A Poly equals only another Poly, so == agrees with hash, dicts and sets."""
+
+    def test_never_equals_a_scalar(self):
+        assert Poly([3]) != 3
+        assert 3 != Poly([3])
+        assert ZERO != 0
+        assert Poly([Fraction(1, 2)]) != Fraction(1, 2)
+        assert Poly([3]) == Poly(["3"]) == Poly([3, 0])
+
+    def test_dict_and_set_keys_agree_with_eq(self):
+        keys = [Poly([3]), 3, Fraction(3), ZERO, 0, Poly(), T, Poly([0, "1"]), Poly([3, 0])]
+        for a in keys:
+            for b in keys:
+                assert (b in {a}) == (a == b)
+                assert ({a: "x"}.get(b) is not None) == (a == b)
+        assert {3: "x"}.get(Poly([3])) is None
+        assert len({Poly([1, 2]), Poly([1, 2, 0]), Poly(["1", "2"])}) == 1
+
+    @given(
+        p=st.one_of(any_polys_st, fractions_st.map(lambda c: Poly([c])), st.just(ZERO)),
+        data=st.data(),
+    )
+    def test_equal_implies_equal_hash(self, p, data):
+        rebuilt = Poly(p.coeffs + (Fraction(0),))
+        constant_term = p.coeffs[0] if p else Fraction(0)
+        q = data.draw(st.one_of(any_polys_st, fractions_st, st.integers(-5, 5), st.just(rebuilt), st.just(constant_term)))
+        if p == q:
+            assert hash(p) == hash(q)
+        if q == p:
+            assert hash(q) == hash(p)
+
+
 class TestPolyRingLaws:
     @given(p=polys_st, q=polys_st)
     def test_add_commutes(self, p, q):

@@ -16,7 +16,7 @@ from fanoblowup import (
     hilbert_projective_space,
 )
 
-from oracles import a_m_hockey_stick_d1, a_m_unfolded, refinement_rows_unfolded
+from oracles import a_m_hockey_stick_d1, a_m_unfolded, interpolate, refinement_rows_unfolded
 
 P2 = hilbert_projective_space(2, 1)
 C33 = Construction(3, 3, 2, 9)
@@ -159,6 +159,30 @@ class TestAgainstDefinition:
         counted = HilbertFunction("counted P^2", 2, Fraction(3), lambda k: calls.append(k) or P2(k))
         assert a_m(C33, counted, 5) == a_m(C33, P2, 5)
         assert sorted(calls) == list(range(10, 16))
+
+
+class TestExactLimit:
+    """a(n, r) certified exactly from the finite-m data, beside acceptance
+    criterion 7, which samples a_m up to m = 64.
+
+    Along the stride, N_m and W_m = sum_j N_{m,j} a_{m,j} are polynomials in m
+    of degrees s+1 and s+2, since h(k) is a polynomial of degree s for k >= 0.
+    So a_m = W_m / (m N_m) tends to lead(W)/lead(N), by a route that shares no
+    code with coefficient_a.  The levels k*stride, k = 1..s+4, are one more
+    than W's degree needs, so the degrees are confirmed, not assumed.
+    """
+
+    @pytest.mark.parametrize("s, d", SMALL_BASES)
+    def test_leading_ratio_is_the_pair_coefficient(self, s, d):
+        c, h, stride = base_case(s, d)
+        n_points, w_points = [], []
+        for m in range(stride, (s + 5) * stride, stride):
+            profile = basis_profile(c, h, m)
+            n_points.append((m, profile.total_sections))
+            w_points.append((m, sum(sections * fixed for _, sections, fixed in profile.rows)))
+        n_poly, w_poly = interpolate(n_points), interpolate(w_points)
+        assert (len(n_poly) - 1, len(w_poly) - 1) == (s + 1, s + 2)
+        assert w_poly[-1] / n_poly[-1] == coefficient_a(s + 1, Fraction(s + 1, d))
 
 
 class TestConvergenceTable:
