@@ -169,9 +169,9 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
 def load_catalog(path: str | Path) -> list[CatalogEntry]:
     """Parse a catalog file into ordered entries.
 
-    Raises CatalogError with the parser's line information on syntax errors,
-    and for a section named DEFAULT, whose keys the INI format would merge
-    into every other entry.
+    Raises CatalogError for a file that cannot be read or is not UTF-8, with
+    the parser's line information on syntax errors, and for a section named
+    DEFAULT, whose keys the INI format would merge into every other entry.
     """
     import configparser  # only catalog runs parse INI; keeps it off every CLI start-up
 
@@ -182,7 +182,7 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
     try:
         with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle, source=str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     except configparser.Error as exc:
         raise CatalogError(f"catalog parse error: {exc}") from exc

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .exactmath import InvariantViolation, RationalLike
+from .exactmath import InvariantViolation, Poly, RationalLike
 from .geometry import Construction, derived_classes, top_power
 from .nef import HorizontalDivisor, volume_profile
 
@@ -67,14 +67,17 @@ def beta(c: Construction, d: HorizontalDivisor) -> Fraction:
 def coefficient_a(n: int, r: RationalLike) -> Fraction:
     """Pair coefficient a(n, r) for the l = 2 reduction to (V, aB).
 
-        a(n,r) = (r^(n+1) - (r-1)^(n+1) - (n+1)(r-1)^n) / (2(n+1)(r^n - (r-1)^n))
+    The continuous limit of the refinement's a_m, a ratio of two integrals:
 
-    Always lies in (0, 1/2).  (n, r) must satisfy Construction's checks.
+        a(n,r) = int_0^1 x (r-x)^(n-1) dx / (2 int_0^1 (r-x)^(n-1) dx),
+
+    taken with u = r - x as int (r u^(n-1) - u^n) du / (2 int u^(n-1) du)
+    over [r-1, r] by Poly.integrate.  Always lies in (0, 1/2).  (n, r) must
+    satisfy Construction's checks.
     """
     r = Construction(n, r, 2).r
-    num = r ** (n + 1) - (r - 1) ** (n + 1) - (n + 1) * (r - 1) ** n
-    den = 2 * (n + 1) * (r ** n - (r - 1) ** n)
-    return num / den
+    num = Poly([0] * (n - 1) + [r, -1]).integrate(r - 1, r)
+    return num / (2 * Poly([0] * (n - 1) + [1]).integrate(r - 1, r))
 
 
 class ReducesToPair(NamedTuple):

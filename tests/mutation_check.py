@@ -1,0 +1,130 @@
+"""Fixed-list mutation check of the library's exact kernels.
+
+Each mutant is one textual edit to one file of ``src/fanoblowup``.  It is
+applied to a temporary copy of ``src/``, never in place, and the library test
+modules are run against that copy with ``pytest -x``.  A mutant is killed when
+the run fails.  The check fails when a mutant survives that is not listed as
+equivalent, when a listed equivalent mutant is killed (the list is stale), or
+when an edit no longer matches the source exactly once.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutation_check.py
+
+Pytest does not collect this file: its name does not match ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TEST_MODULES = [
+    "test_exactmath.py",
+    "test_geometry.py",
+    "test_nef.py",
+    "test_invariants.py",
+    "test_refinement.py",
+    "test_acceptance.py",
+]
+
+
+class Mutant(NamedTuple):
+    key: str
+    module: str  # file under src/fanoblowup
+    old: str
+    new: str
+    equivalent: str | None = None  # why no test can kill it, if none can
+
+
+MUTANTS = [
+    Mutant("H1", "exactmath.py", "        num *= a\n", "        num *= b\n"),
+    Mutant(
+        "H2", "exactmath.py", "        g = gcd(den, q)\n", "        g = 1\n",
+        equivalent="only skips a reduction: the unreduced pair has the same value",
+    ),
+    Mutant(
+        "H3", "exactmath.py", "p * (den // g)", "p * den // g",
+        equivalent="g divides den, so p * den // g == p * (den // g)",
+    ),
+    Mutant("I1", "exactmath.py", "cs[i].denominator * (i + 1)", "cs[i].denominator * (i + 1 if i < 30 else i)"),
+    Mutant("I2", "exactmath.py", "        pairs.append((0, 1))\n", ""),
+    Mutant("I3", "exactmath.py", "Fraction(u * q - v * p, p * q)", "Fraction(u * q + v * p, p * q)"),
+    Mutant("I4", "exactmath.py", "        if lo > hi:\n", "        if lo >= hi:\n"),
+    Mutant(
+        "P1", "exactmath.py", "        if self.degree < 1:\n", "        if self.degree < 0:\n",
+        equivalent="a nonzero constant base is then raised by binary powering, to the same value",
+    ),
+    Mutant("P2", "exactmath.py", "            if e & 1:\n", "            if not e & 1:\n"),
+    Mutant("P3", "exactmath.py", "            e >>= 1\n", "            e >>= 2\n"),
+    Mutant("S1", "exactmath.py", "                twice = 2 * ca\n", "                twice = ca\n"),
+    Mutant("S2", "exactmath.py", "for j in range(i + 1, len(a)):", "for j in range(i, len(a)):"),
+    Mutant(
+        "S3", "exactmath.py", "        if o is self:\n", "        if o == self:\n",
+        equivalent="an equal operand has the same coefficients, so the square path gives the same product",
+    ),
+    Mutant("A1", "invariants.py", "[r, -1]).integrate(r - 1, r)", "[r, -1]).integrate(r, r - 1)"),
+    Mutant("A2", "invariants.py", "num / (2 * Poly(", "num / (Poly("),
+    Mutant("A3", "invariants.py", "Poly([0] * (n - 1) + [r, -1])", "Poly([0] * n + [r, -1])"),
+    Mutant("A4", "invariants.py", "Poly([0] * (n - 1) + [1])", "Poly([0] * n + [1])"),
+]
+
+
+def run_tests(src: Path, workdir: Path, first: str = "") -> bool:
+    """True when the library test modules pass against the package in src;
+    the module named first runs first."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    args = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+    args += [str(ROOT / "tests" / name) for name in sorted(TEST_MODULES, key=lambda name: name != first)]
+    # The working directory is temporary, so hypothesis keeps no example database between mutants.
+    done = subprocess.run(args, cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def check(mutant: Mutant, scratch: Path) -> str:
+    """Apply one mutant to a fresh copy of src/ and return its verdict."""
+    src = scratch / mutant.key / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "fanoblowup" / mutant.module
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return f"stale: {mutant.old!r} occurs {text.count(mutant.old)} times in {mutant.module}"
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    survived = run_tests(src, src.parent, first=f"test_{mutant.module}")
+    if survived and mutant.equivalent is None:
+        return "SURVIVED"
+    if not survived and mutant.equivalent is not None:
+        return "killed, but listed as equivalent"
+    return "ok, equivalent" if survived else "ok, killed"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutation-check-") as tmp:
+        scratch = Path(tmp)
+        baseline = scratch / "baseline"
+        shutil.copytree(ROOT / "src", baseline / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        if not run_tests(baseline / "src", baseline):
+            print("the unmutated library fails its tests; nothing to compare against", file=sys.stderr)
+            return 1
+        bad = []
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            verdict = check(mutant, scratch)
+            print(f"{mutant.key} {mutant.module}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)
+            if not verdict.startswith("ok"):
+                bad.append(mutant.key)
+    if bad:
+        print(f"mutation check failed: {', '.join(bad)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -83,9 +83,9 @@ def ladder_top_power(n: int, r: Fraction, l: Fraction, vol_v: Fraction, x, y, z)
     return tuple(total)
 
 
-def naive_eval(p: Poly, x: Fraction) -> Fraction:
-    """Term-by-term evaluation, independent of Horner."""
-    return sum((c * x ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+def naive_eval(coeffs, x) -> Fraction:
+    """sum coeffs[i] x^i, term by term, independent of Horner."""
+    return sum((c * x ** i for i, c in enumerate(coeffs)), Fraction(0))
 
 
 def naive_integral(coeffs, lo: Fraction, hi: Fraction) -> Fraction:
@@ -103,6 +103,73 @@ def closed_form_vol_y(n: int, r: Fraction, l: Fraction, vol_v: Fraction) -> Frac
     if l == 1:
         return (n * r ** (n - 1) + r ** n - (r - 1) ** n) * vol_v / r ** (n - 1)
     return ((r ** n - (r + 1 - l) ** n) / (l - 1) + r ** n - (r - 1) ** n) * vol_v / r ** (n - 1)
+
+
+def coefficient_a_closed_form(n: int, r: Fraction) -> Fraction:
+    """The paper's closed form of the l = 2 pair coefficient,
+
+        a(n,r) = (r^(n+1) - (r-1)^(n+1) - (n+1)(r-1)^n) / (2(n+1)(r^n - (r-1)^n)),
+
+    the two integrals of coefficient_a taken by hand.
+    """
+    r = Fraction(r)
+    return (r ** (n + 1) - (r - 1) ** (n + 1) - (n + 1) * (r - 1) ** n) / (2 * (n + 1) * (r ** n - (r - 1) ** n))
+
+
+def _affine_power_integral(alpha: Fraction, beta: Fraction, k: int, lo: Fraction, hi: Fraction) -> Fraction:
+    """Integral of (alpha + beta t)^k over [lo, hi], from the antiderivative
+    (alpha + beta t)^(k+1) / ((k+1) beta), or alpha^k (hi - lo) when beta = 0."""
+    if beta == 0:
+        return alpha ** k * (hi - lo)
+    return ((alpha + beta * hi) ** (k + 1) - (alpha + beta * lo) ** (k + 1)) / ((k + 1) * beta)
+
+
+def _segment_volume_integral(n: int, r: Fraction, l: Fraction, x, y, z, lo: Fraction, hi: Fraction) -> Fraction:
+    """Integral over [lo, hi] of (x V_0 + y Vbar_inf + z A)^n / vol(V), with
+    x, y, z affine pairs (constant, slope) in t.
+
+    Each ladder sum_k C(n,k) w^k z^(n-k) q^(k-1) is ((q w + z)^n - z^n) / q,
+    a difference of affine powers.  A ladder whose coefficient is zero
+    vanishes; at l = 1 (q = 0) the second ladder is n y z^(n-1), with z
+    constant wherever y is nonzero.
+    """
+    total = Fraction(0)
+    for w, q in ((x, Fraction(-1) / r), (y, (1 - l) / r)):
+        if w == (0, 0):
+            continue
+        if q == 0:
+            if z[1] != 0:
+                raise ValueError("the l = 1 rung needs a constant z")
+            total += n * z[0] ** (n - 1) * _affine_power_integral(w[0], w[1], 1, lo, hi)
+            continue
+        both = _affine_power_integral(q * w[0] + z[0], q * w[1] + z[1], n, lo, hi)
+        total += (both - _affine_power_integral(z[0], z[1], n, lo, hi)) / q
+    return total
+
+
+def s_pair_closed_form(n: int, r: Fraction, l: Fraction) -> tuple[Fraction, Fraction]:
+    """(S(V_0), S(Vbar_inf)) with every ladder term integrated in closed form.
+
+    The positive parts of -K_Y - t D, as (constant, slope) pairs for the
+    coefficients of V_0, Vbar_inf and A:
+        D = V_0:       (1-t, 1, 1) on [0, 1];  (0, 2-t, (r-(t-1)(l-1))/r) on [1, 2]
+        D = Vbar_inf:  (1, 1-t, 1) on [0, 1];  (2-t, 0, (r+1-t)/r) on [1, 2]
+    Each S is the integral over [0, 2] over vol(-K_Y) = closed_form_vol_y.
+    No Poly and no library arithmetic is used.
+    """
+    r, l = Fraction(r), Fraction(l)
+    one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+    one_minus_t, two_minus_t = (Fraction(1), Fraction(-1)), (Fraction(2), Fraction(-1))
+    segments = {
+        "v0": [(one_minus_t, one, one), (zero, two_minus_t, (1 + (l - 1) / r, (1 - l) / r))],
+        "vinf": [(one, one_minus_t, one), (two_minus_t, zero, ((r + 1) / r, -1 / r))],
+    }
+    vol = closed_form_vol_y(n, r, l, Fraction(1))
+    s_v0, s_vinf = (
+        sum(_segment_volume_integral(n, r, l, *xyz, Fraction(lo), Fraction(lo + 1)) for lo, xyz in enumerate(segments[d])) / vol
+        for d in ("v0", "vinf")
+    )
+    return s_v0, s_vinf
 
 
 def s_zero_section_l0(n: int, r: Fraction) -> Fraction:

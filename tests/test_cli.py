@@ -212,6 +212,15 @@ class TestCatalog:
         assert code == 2
         assert "cannot read catalog" in err
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"[a]\nn = 3\nr = 2\nl = \xff\n")
+        with pytest.raises(catalog.CatalogError, match="cannot read catalog"):
+            catalog.load_catalog(path)
+        code, out, err = run(capsys, "catalog", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read catalog {path}: ")
+
     def test_default_section_alone_exits_2(self, tmp_path, capsys):
         path = tmp_path / "default.cfg"
         path.write_text(PAIR_ENTRY.replace("family-4.2", "DEFAULT").format(expected="1/2"), encoding="utf-8")

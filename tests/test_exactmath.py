@@ -175,7 +175,7 @@ class TestPolyRingLaws:
 
     @given(p=any_polys_st, x=points_st)
     def test_eval_matches_naive_summation(self, p, x):
-        assert p(x) == naive_eval(p, x)
+        assert p(x) == naive_eval(p.coeffs, x)
 
 
 class TestIntegration:
@@ -206,6 +206,21 @@ class TestIntegration:
     @example(p=Poly([Fraction(1, 3), -7, Fraction(5, 2)]), a=Fraction(3, 4), b=Fraction(3, 4))
     def test_matches_term_by_term_antiderivative(self, p, a, b):
         lo, hi = min(a, b), max(a, b)
+        assert p.integrate(lo, hi) == naive_integral(p.coeffs, lo, hi)
+
+    @pytest.mark.parametrize(
+        "p, lo, hi",
+        [
+            (Poly([0] * 64 + [1]), Fraction(0), Fraction(1)),
+            ((1 + 2 * T) ** 64, Fraction(-1, 2), Fraction(1, 4)),
+            ((Fraction(7, 3) - Fraction(5, 7) * T) ** 64, Fraction(1), Fraction(2)),
+            (Poly([Fraction((-1) ** i * (i + 3), 2 ** 24 - i) for i in range(65)]), Fraction(-3, 4), Fraction(5, 2)),
+        ],
+        ids=["t^64", "binomial", "affine-power", "wide"],
+    )
+    def test_degree_64_matches_term_by_term_antiderivative(self, p, lo, hi):
+        # The largest admitted dimension makes volume profiles of degree 64.
+        assert p.degree == 64
         assert p.integrate(lo, hi) == naive_integral(p.coeffs, lo, hi)
 
     @given(p=any_polys_st, a=points_st, b=points_st, c=points_st)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -25,10 +27,25 @@ from fanoblowup import (
     vol_y,
 )
 
-from oracles import admissible_grid, profile_quadrature, rel_err, s_zero_section_l0
+from oracles import (
+    admissible_grid,
+    closed_form_vol_y,
+    coefficient_a_closed_form,
+    profile_quadrature,
+    rel_err,
+    s_pair_closed_form,
+    s_zero_section_l0,
+)
 
 ZS = HorizontalDivisor.ZERO_SECTION
 IS = HorizontalDivisor.INFINITY_SECTION
+
+
+def wide_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    """A rational strictly inside (lo, hi), hi <= 4, with a 62-bit denominator
+    and a numerator of up to 64 bits."""
+    q = rng.getrandbits(62) | 1 << 61
+    return Fraction(rng.randrange(math.floor(lo * q) + 1, math.ceil(hi * q)), q)
 
 
 class TestSInvariant:
@@ -117,6 +134,13 @@ class TestCoefficientA:
         for n in range(2, 11):
             for r in [Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5)]:
                 assert Fraction(0) < coefficient_a(n, r) < Fraction(1, 2)
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_matches_paper_closed_form(self, n):
+        rng = random.Random(16 * n)
+        wide = [wide_rational(rng, Fraction(1), Fraction(4)) for _ in range(3)]
+        for r in [Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 2), *wide]:
+            assert coefficient_a(n, r) == coefficient_a_closed_form(n, r)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -284,3 +308,53 @@ class TestQuadratureOracle:
                 exact = s_invariant(c, d)
                 approx = profile_quadrature(c, d) / float(vol_y(c))
                 assert rel_err(exact, approx) < 1e-9
+
+
+# One l from each branch of report(): 0, (0, 1), 1, (1, 2), 2 and (2, r + 1).
+# Each has a small value and, for an open branch, the interval a 64-bit l is
+# drawn from; None stands for r + 1 (capped at 4).
+L_BRANCHES = [
+    ("0", 0, None),
+    ("(0,1)", Fraction(1, 3), (0, 1)),
+    ("1", 1, None),
+    ("(1,2)", Fraction(3, 2), (1, 2)),
+    ("2", 2, None),
+    ("(2,r+1)", 3, (2, None)),
+]
+LARGE_N = [17, 24, 31, 32, 40, 64]
+
+
+def large_n_points():
+    """Every l branch with small rationals at each n in LARGE_N, and one branch
+    per n, in turn, with 64-bit r, l and vol_v."""
+    for i, n in enumerate(LARGE_N):
+        for name, small_l, _ in L_BRANCHES:
+            yield pytest.param(n, Fraction(5, 2), Fraction(small_l), Fraction(7), id=f"n{n}-l{name}-small")
+        rng = random.Random(n)
+        r = wide_rational(rng, Fraction(1), Fraction(4))
+        name, small_l, interval = L_BRANCHES[i]
+        if interval is None:
+            l = Fraction(small_l)
+        else:
+            lo, hi = interval
+            l = wide_rational(rng, Fraction(lo), min(r + 1, Fraction(4)) if hi is None else Fraction(hi))
+        yield pytest.param(n, r, l, wide_rational(rng, Fraction(0), Fraction(4)), id=f"n{n}-l{name}-64bit")
+
+
+class TestLargeDimensionPins:
+    """report() pinned exactly against tests/oracles.py's closed-form S, which
+    integrates each ladder term as an affine power with no Poly, across the
+    admitted range of n beyond the small grid."""
+
+    @pytest.mark.parametrize("n, r, l, vol_v", list(large_n_points()))
+    def test_report_matches_closed_form_oracle(self, n, r, l, vol_v):
+        s_v0, s_vinf = s_pair_closed_form(n, r, l)
+        if l == 2:
+            assert s_v0 == s_vinf == 1
+            verdict = ReducesToPair(coefficient_a_closed_form(n, r))
+        elif s_v0 > 1:
+            verdict = KUnstable(ZS, 1 - s_v0)
+        else:
+            verdict = KUnstable(IS, 1 - s_vinf)
+        expected = InvariantReport(closed_form_vol_y(n, r, l, vol_v), s_v0, s_vinf, verdict)
+        assert report(Construction(n, r, l, vol_v)) == expected

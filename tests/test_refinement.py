@@ -16,12 +16,13 @@ from fanoblowup import (
     hilbert_projective_space,
 )
 
-from oracles import a_m_hockey_stick_d1, a_m_unfolded, interpolate, refinement_rows_unfolded
+from oracles import a_m_hockey_stick_d1, a_m_unfolded, interpolate, naive_eval, refinement_rows_unfolded
 
 P2 = hilbert_projective_space(2, 1)
 C33 = Construction(3, 3, 2, 9)
-# Every base P^s with L = O(d), s <= 6 and r = (s+1)/d > 1.
+# Every base P^s with L = O(d), s <= 6 and r = (s+1)/d > 1; and every one with s <= 9.
 SMALL_BASES = [(s, d) for s in range(1, 7) for d in range(1, s + 1)]
+BASES_TO_9 = [(s, d) for s in range(1, 10) for d in range(1, s + 1)]
 
 
 def base_case(s: int, d: int) -> tuple[Construction, HilbertFunction, int]:
@@ -129,6 +130,37 @@ class TestAm:
         assert a_m(c, h, 2) == Fraction(27, 140)
 
 
+def interpolated_sums(s: int, d: int) -> tuple[list[Fraction], list[Fraction]]:
+    """N_m and W_m = sum_j N_{m,j} a_{m,j} over ps:s:d as exact polynomials in
+    m (coefficient lists, lowest degree first), interpolated from basis_profile
+    at the levels k*stride, k = 1..s+4: one more than W's degree s+2 needs."""
+    c, h, stride = base_case(s, d)
+    n_points, w_points = [], []
+    for m in range(stride, (s + 5) * stride, stride):
+        profile = basis_profile(c, h, m)
+        n_points.append((m, profile.total_sections))
+        w_points.append((m, sum(sections * fixed for _, sections, fixed in profile.rows)))
+    return interpolate(n_points), interpolate(w_points)
+
+
+def compose_affine(coeffs: list[Fraction], alpha, beta) -> list[Fraction]:
+    """Coefficients of p(alpha + beta u) in u, by Horner's rule on coefficient lists."""
+    out: list[Fraction] = []
+    for c in reversed(coeffs):
+        shifted = [Fraction(0)] * (len(out) + 1)
+        for i, o in enumerate(out):
+            shifted[i] += alpha * o
+            shifted[i + 1] += beta * o
+        shifted[0] += c
+        out = shifted
+    return out
+
+
+def sign_changes(coeffs: list[Fraction]) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 class TestAgainstDefinition:
     """basis_profile and a_m against tests/oracles.py, which shares no code with them."""
 
@@ -174,15 +206,60 @@ class TestExactLimit:
 
     @pytest.mark.parametrize("s, d", SMALL_BASES)
     def test_leading_ratio_is_the_pair_coefficient(self, s, d):
-        c, h, stride = base_case(s, d)
-        n_points, w_points = [], []
-        for m in range(stride, (s + 5) * stride, stride):
-            profile = basis_profile(c, h, m)
-            n_points.append((m, profile.total_sections))
-            w_points.append((m, sum(sections * fixed for _, sections, fixed in profile.rows)))
-        n_poly, w_poly = interpolate(n_points), interpolate(w_points)
+        n_poly, w_poly = interpolated_sums(s, d)
         assert (len(n_poly) - 1, len(w_poly) - 1) == (s + 1, s + 2)
         assert w_poly[-1] / n_poly[-1] == coefficient_a(s + 1, Fraction(s + 1, d))
+
+
+class TestRefinementCertificate:
+    """a_m - a(n, r) = E(m) / (m N_m) along the stride, with E = W - a m N of
+    degree s+1, so the sign of E decides on which side of a each a_m lies,
+    at every valid level, not only at sampled ones.
+
+    By Descartes' rule, E(stride (1 + u)) with no sign change in u has no root
+    at u >= 0: a_m > a at every level.  With one sign change it has exactly
+    one root, and exact evaluation places it strictly between two consecutive
+    valid levels, so no level has a_m = a.  m (a_m - a) tends to the positive
+    rational lead(E) / lead(N): convergence is exactly of order 1/m.
+    """
+
+    # Pinned from the certificates: where a_m crosses a, and a limit of m (a_m - a).
+    CROSSINGS = {(5, 4): (4, 6), (9, 9): (18, 27)}
+    LIMITS = {(5, 3): Fraction(10, 147)}
+
+    @pytest.mark.parametrize("s, d", BASES_TO_9)
+    def test_side_of_the_limit_at_every_level(self, s, d):
+        c, h, stride = base_case(s, d)
+        n_poly, w_poly = interpolated_sums(s, d)
+        assert (len(n_poly) - 1, len(w_poly) - 1) == (s + 1, s + 2)
+        a = coefficient_a(s + 1, c.r)
+        m_n = [Fraction(0)] + [a * coeff for coeff in n_poly]
+        e_poly = [w - mn for w, mn in zip(w_poly, m_n)]
+        while e_poly and e_poly[-1] == 0:
+            e_poly.pop()
+        assert len(e_poly) - 1 == s + 1
+        limit = e_poly[-1] / n_poly[-1]
+        assert limit > 0
+        if (s, d) in self.LIMITS:
+            assert limit == self.LIMITS[s, d]
+        # E agrees with a_m at a level beyond the interpolation nodes.
+        m = (s + 7) * stride
+        assert m * (a_m(c, h, m) - a) == naive_eval(e_poly, m) / naive_eval(n_poly, m)
+
+        shifted = compose_affine(e_poly, stride, stride)
+        assert shifted[0] != 0 and shifted[-1] > 0
+        changes = sign_changes(shifted)
+        assert changes in (0, 1), f"ps:{s}:{d} has no certificate: {changes} sign changes"
+        if changes == 0:
+            assert (s, d) not in self.CROSSINGS
+            return
+        # One root u* > 0: E(stride) < 0 < E at large m; find the two levels around it.
+        k = 1
+        while naive_eval(e_poly, (k + 1) * stride) < 0:
+            k += 1
+        assert naive_eval(e_poly, k * stride) < 0 < naive_eval(e_poly, (k + 1) * stride)
+        if (s, d) in self.CROSSINGS:
+            assert (k * stride, (k + 1) * stride) == self.CROSSINGS[s, d]
 
 
 class TestConvergenceTable:
