@@ -18,11 +18,10 @@ must reduce to a pair with exactly this coefficient) and
 must be K-unstable with exactly this destabilizer).  l decides which one an
 entry may set: l = 2 reduces to a pair, so only ``expect_a``, and any other
 l is K-unstable, so only ``expect_destabilizer``; the other key is refused
-at load.  Entries without expectations are report-only.  A rational has at
-most MAX_BITS bits in its numerator and in its denominator, no exponent and
-no ``_`` digit separator.
-A ``;`` after a value starts a comment.  ``[DEFAULT]`` is refused: INI
-readers merge its keys into every other section.
+at load.  Entries without expectations are report-only.  Rationals are read
+by ``exactmath.as_rational``, with at most MAX_BITS bits above and below the
+line, and ``n`` refuses ``_`` too.  A ``;`` after a value starts a comment.
+``[DEFAULT]`` is refused: INI readers merge its keys into every other section.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .exactmath import as_rational
+from .exactmath import _refuse_separators, as_rational
 from .geometry import Construction
 from .invariants import InvariantReport, classification_fields, classification_text, report
 from .nef import HorizontalDivisor
@@ -80,12 +79,6 @@ class EntryResult(NamedTuple):
     detail: str
 
 
-def _refuse_separators(text: str) -> None:
-    # int accepts "3_0" and Fraction does from Python 3.11 on; refused on all.
-    if "_" in text:
-        raise ValueError(f"digit separators '_' are not accepted, got {text!r}")
-
-
 def parse_integer(text: str, name: str) -> int:
     """The integer written in text; ValueError naming ``name`` for other text."""
     _refuse_separators(text)
@@ -104,21 +97,8 @@ def bounded_dim(text: str) -> int:
 
 
 def bounded_rational(text: str) -> Fraction:
-    """The exact rational written in text, as an integer, decimal or p/q.
-
-    Raises ValueError for malformed text, for a numerator or denominator of
-    more than MAX_BITS bits, for exponent notation, which is refused
-    before conversion because Fraction expands "1e999999999" into a power
-    of ten, and for ``_`` digit separators, which only some Python versions
-    accept.
-    """
-    if "e" in text.lower():
-        raise ValueError(f"exponent notation is not accepted, got {text!r}; write an integer or p/q")
-    _refuse_separators(text)
-    try:
-        value = as_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"expected a rational like 7 or 3/2, got {text!r}") from exc
+    """as_rational(text), with a ValueError also past MAX_BITS bits above or below the line."""
+    value = as_rational(text)
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_BITS:
         raise ValueError(f"numerator and denominator are limited to {MAX_BITS} bits, got {text!r}")
     return value

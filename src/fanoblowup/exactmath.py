@@ -11,6 +11,7 @@ floating point enters anywhere in this module.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
@@ -28,18 +29,37 @@ class InvariantViolation(ArithmeticError):
     """
 
 
+# The text that Fraction reads with an exponent, which it expands: "1e999999999" is 10**999999999.
+_EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:\.\d*)?e[-+]?\d+\s*", re.IGNORECASE)
+
+
+def _refuse_separators(text: str) -> None:
+    # int accepts "3_0" and Fraction does from Python 3.11 on; refused on all.
+    if "_" in text:
+        raise ValueError(f"digit separators '_' are not accepted, got {text!r}")
+
+
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce an int, string like ``"3/2"``, or Fraction to an exact Fraction.
+    """Coerce an int, Fraction, or text like ``"3/2"`` to an exact Fraction.
 
     Floats are rejected: silently converting a binary float would smuggle
     rounding into an exact pipeline.  An exact Fraction (not a subclass) is
-    returned as it is, since Fractions are immutable.
+    returned as it is.  Text is an integer, decimal or p/q on every Python,
+    without ``_`` separators or exponents; other text raises ValueError.
     """
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an exact rational (int, Fraction, or 'p/q')")
-    return Fraction(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    _refuse_separators(value)
+    if _EXPONENT.fullmatch(value):
+        raise ValueError(f"exponent notation is not accepted, got {value!r}; write an integer or p/q")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"expected a rational like 7 or 3/2, got {value!r}") from None
 
 
 def _horner(pairs: Iterable[tuple[int, int]], a: int, b: int) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Fixed-list mutation check of the library's exact kernels.
+"""Fixed-list mutation check of the library's exact kernels and text grammar.
 
 Each mutant is one textual edit to one file of ``src/fanoblowup``.  It is
 applied to a temporary copy of ``src/``, never in place, and the library test
@@ -74,6 +74,26 @@ MUTANTS = [
     Mutant("A2", "invariants.py", "num / (2 * Poly(", "num / (Poly("),
     Mutant("A3", "invariants.py", "Poly([0] * (n - 1) + [r, -1])", "Poly([0] * n + [r, -1])"),
     Mutant("A4", "invariants.py", "Poly([0] * (n - 1) + [1])", "Poly([0] * n + [1])"),
+    Mutant("G1", "geometry.py", "q0 = Fraction(-1) / c.r", "q0 = Fraction(1) / c.r"),
+    Mutant("G2", "geometry.py", "qinf = (1 - c.l) / c.r", "qinf = (c.l - 1) / c.r"),
+    Mutant("G3", "geometry.py", "((q0 * x + z) ** n - zn)", "((q0 * x + z) ** n)"),
+    Mutant("G4", "geometry.py", "((qinf * y + z) ** n - zn)", "((qinf * y + z) ** n)"),
+    Mutant("G5", "geometry.py", "n * y * z ** (n - 1)", "n * y * z ** n"),
+    Mutant(
+        "N1", "nef.py",
+        "der.e if d is HorizontalDivisor.INFINITY_SECTION else der.f",
+        "der.f if d is HorizontalDivisor.INFINITY_SECTION else der.e",
+    ),
+    Mutant("N2", "nef.py", "any(a < b for", "any(a <= b for"),
+    # The text grammar of as_rational: the "_" rule and the exponent rule.
+    Mutant("T1", "exactmath.py", '    if "_" in text:\n', '    if "__" in text:\n'),
+    Mutant("T2", "exactmath.py", "    if _EXPONENT.fullmatch(value):\n", "    if False:\n"),
+    Mutant("T3", "exactmath.py", "_EXPONENT.fullmatch(value)", "_EXPONENT.match(value)"),
+    Mutant("T4", "exactmath.py", r'\d+\s*", re.IGNORECASE)', r'\d+\s*")'),
+    Mutant("T5", "exactmath.py", r"(?:\.\d*)?e", r"(?:\.\d+)?e"),
+    Mutant("T6", "exactmath.py", r"(?=\d|\.\d)\d*", r"(?=\d|\.\d)[0-9]*"),
+    Mutant("T7", "exactmath.py", r"[-+]?(?=\d|\.\d)", r"[-+]?"),
+    Mutant("T8", "exactmath.py", "    except (ValueError, ZeroDivisionError):\n", "    except ValueError:\n"),
 ]
 
 

@@ -1,8 +1,10 @@
 """Independent oracles shared by the test modules.
 
-Everything here is deliberately written against closed forms or brute-force
+Every exact oracle here is written against closed forms or brute-force
 summation, never through the library's own volume-profile pipeline, so that
-the two routes stay independent.
+the two routes stay independent.  The one exception is profile_quadrature,
+which takes volume_profile's polynomials and integrates them in floats with
+scipy: it checks the library's exact integration, not its profiles.
 """
 
 from __future__ import annotations
@@ -27,16 +29,14 @@ def admissible_grid():
                     yield n, r, l
 
 
-def binom_product(n: int, k: int) -> int:
-    """C(n, k) by the multiplicative formula prod_{i=1..k} (n-k+i)/i."""
+def binom_int(n: int, k: int) -> int:
+    """C(n, k) in integers: after step i the running value is C(n-k+i, i), exact at every step."""
     if k > n:
         return 0
-    value = Fraction(1)
+    value = 1
     for i in range(1, k + 1):
-        value *= Fraction(n - k + i, i)
-    if value.denominator != 1:
-        raise ArithmeticError(f"C({n}, {k}) came out as {value}, not an integer")
-    return value.numerator
+        value = value * (n - k + i) // i
+    return value
 
 
 def _coeff_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -71,7 +71,7 @@ def ladder_top_power(n: int, r: Fraction, l: Fraction, vol_v: Fraction, x, y, z)
     xs, ys, zs = powers(x), powers(y), powers(z)
     total: list[Fraction] = []
     for k in range(1, n + 1):
-        ck = binom_product(n, k)
+        ck = binom_int(n, k)
         for pw, q in ((xs, q0), (ys, qinf)):
             scale = vol_v * ck * q ** (k - 1)
             rung = _coeff_mul(pw[k], zs[n - k])
@@ -261,16 +261,6 @@ def quad_beta_inf_normalized(n: int, r: float, l: float) -> float:
 def rel_err(exact: Fraction, approx: float) -> float:
     scale = max(1.0, abs(float(exact)))
     return abs(float(exact) - approx) / scale
-
-
-def binom_int(n: int, k: int) -> int:
-    """C(n, k) in integers: after step i the running value is C(n-k+i, i), exact at every step."""
-    if k > n:
-        return 0
-    value = 1
-    for i in range(1, k + 1):
-        value = value * (n - k + i) // i
-    return value
 
 
 def refinement_rows_unfolded(s: int, d: int, m: int) -> list[tuple[int, int, int]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fanoblowup import MAX_BITS, MAX_DIM, Construction, HorizontalDivisor, catalog, cli, invariants, refinement
+from fanoblowup import MAX_BITS, MAX_DIM, Construction, HorizontalDivisor, as_rational, catalog, cli, invariants, refinement
 from fanoblowup.cli import MAX_M, main
 
 PAIR_ENTRY = """\
@@ -195,6 +195,23 @@ class TestCatalog:
         assert code == 2
         assert "unknown key" in err
 
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ("n = 3\nr = 2\n", "missing required key 'l'"),
+            (
+                "n = 3\nr = 3\nl = 3\nexpect_destabilizer = zero\n",
+                "expect_destabilizer must be 'zero-section' or 'infinity-section', got 'zero'",
+            ),
+        ],
+    )
+    def test_missing_key_or_bad_destabilizer_exits_2(self, tmp_path, capsys, monkeypatch, entry, reason):
+        refuse_computation(monkeypatch)
+        path = tmp_path / "refused.cfg"
+        path.write_text(f"[entry]\n{entry}", encoding="utf-8")
+        code, out, err = run(capsys, "catalog", str(path))
+        assert (code, out, err) == (2, "", f"error: entry [entry]: {reason}\n")
+
     def test_inadmissible_entry_exits_2(self, tmp_path, capsys):
         path = tmp_path / "inadmissible.cfg"
         path.write_text("[entry]\nn = 3\nr = 1\nl = 0\n", encoding="utf-8")
@@ -297,6 +314,7 @@ class TestCatalog:
             ("r", "3_0/2", "digit separators '_' are not accepted, got '3_0/2'"),
             ("n", "3_0", "digit separators '_' are not accepted, got '3_0'"),
             ("n", "3.0", "n must be an integer, got '3.0'"),
+            ("r", "three", "expected a rational like 7 or 3/2, got 'three'"),
         ],
     )
     def test_bounds_exit_2(self, tmp_path, capsys, monkeypatch, key, value, reason):
@@ -405,6 +423,17 @@ class TestBounds:
                 ["refine", "--dim", "3", "--index", "3", "--base", "ps:0_2:1", "--m", "1"],
                 "digit separators '_' are not accepted, got '0_2'",
             ),
+            *(
+                (["invariants", "--dim", "3", "--index", text, "--l", "2"], reason)
+                for text, reason in [
+                    ("3_0/2", "digit separators '_' are not accepted"),
+                    ("1e1", "exponent notation is not accepted"),
+                    ("2E0", "exponent notation is not accepted"),
+                    ("1.e2", "exponent notation is not accepted"),
+                    ("\u0661e1", "exponent notation is not accepted"),
+                    ("three", "expected a rational like 7 or 3/2, got 'three'"),
+                ]
+            ),
         ],
     )
     def test_refused_with_exit_2(self, capsys, monkeypatch, argv, reason):
@@ -413,6 +442,17 @@ class TestBounds:
             main(argv)
         assert exc.value.code == 2
         assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["3/2", " 3/2 ", "2.5", "-0", "7", "3_0/2", "1e1", "1.e2", "three", "1/0"])
+    def test_flags_read_rationals_as_the_library_does(self, text):
+        try:
+            expected = as_rational(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                catalog.bounded_rational(text)
+            assert str(refused.value) == str(exc)
+        else:
+            assert catalog.bounded_rational(text) == expected
 
     def test_largest_admitted_values(self, capsys):
         wide = f"{2 ** MAX_BITS - 1}/{2 ** (MAX_BITS - 1)}"

@@ -1,8 +1,9 @@
 """Fuzz the CLI argument surface: every outcome is an exit code, never a traceback.
 
 `cli.main` runs in-process on generated argv for all four subcommands.  An
-argparse `SystemExit` counts by its code.  Any exit code outside
-{0, 1, 2, 3}, or any other exception, fails the test.
+argparse `SystemExit` counts by its code.  Any exit code outside {0, 1, 2},
+or any other exception, fails the test: exit 3 is an internal fault, which no
+input, valid or not, may trip.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fanoblowup import MAX_BITS, MAX_DIM
 
 from make_cli_golden import capture
 
-EXIT_CODES = {0, 1, 2, 3}
+EXIT_CODES = {0, 1, 2}
 MALFORMED = ["", "1/0", "nan", "3/2/1", "x"]
 FLAGS = st.lists(st.sampled_from(["--json", "--quiet"]), max_size=2, unique=True)
 
@@ -58,6 +59,9 @@ wide_rationals = st.builds(lambda p, q: f"{p + q}/{q}", wide, wide)
 @example(flags=["--json"], n="10", r="65535/65534")
 @example(flags=[], n=str(MAX_DIM + 1), r="2")
 @example(flags=["--quiet"], n="3", r="2e0")
+@example(flags=[], n="3", r="3_0/2")
+@example(flags=[], n="3", r="1e1")
+@example(flags=[], n="3", r="three")
 def test_coeff(flags, n, r):
     _assert_exits_cleanly(["coeff", "--dim", n, "--index", r, *flags])
 
@@ -72,6 +76,9 @@ def test_coeff(flags, n, r):
 )
 @example(flags=[], n="10", r="65535/65534", l="2", vol_v="65535/3")
 @example(flags=["--quiet"], n="3", r="2", l="1/0", vol_v=None)
+@example(flags=[], n="3", r="3_0/2", l="2", vol_v=None)
+@example(flags=[], n="3", r="2", l="1e1", vol_v=None)
+@example(flags=[], n="3", r="2", l="2", vol_v="three")
 def test_invariants(flags, n, r, l, vol_v):
     argv = ["invariants", "--dim", n, "--index", r, "--l", l, *flags]
     if vol_v is not None:
@@ -116,6 +123,7 @@ headers = st.one_of(st.just("[entry-{i}]"), st.sampled_from(["[DEFAULT]", "[entr
 @example(flags=[], sections=[("[entry-{i}]", {"n": "3", "r": "2", "l": "2", "expect_a": "1/2"})])
 @example(flags=[], sections=[("[entry-{i}]", {"n": "3", "r": "2", "l": "1", "expect_a": "11/56"})])
 @example(flags=["--json"], sections=[("[DEFAULT]", {"n": "3", "r": "2", "l": "2"})])
+@example(flags=[], sections=[("[entry-{i}]", {"n": "3", "r": "3_0/2", "l": "1e1", "vol_v": "three"})])
 def test_catalog(tmp_path, flags, sections):
     lines = []
     for i, (header, entry) in enumerate(sections):

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from fanoblowup import ONE, T, ZERO, Poly, as_rational, hilbert_projective_space
 
-from oracles import binom_product, naive_eval, naive_integral
+from oracles import binom_int, naive_eval, naive_integral
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 polys_st = st.lists(fractions_st, max_size=6).map(Poly)
@@ -31,8 +31,8 @@ class TestBinom:
         for s in range(1, 8):
             h = hilbert_projective_space(s, 1)
             for k in range(0, 25):
-                assert h(k) == binom_product(k + s, s)
-        assert hilbert_projective_space(30, 1)(30) == binom_product(60, 30)
+                assert h(k) == binom_int(k + s, s)
+        assert hilbert_projective_space(30, 1)(30) == binom_int(60, 30)
 
 
 class TestRational:
@@ -54,6 +54,57 @@ class TestRational:
     def test_comparison_is_exact(self):
         assert as_rational("1/3") * 3 == 1
         assert Fraction(10 ** 40, 3) - Fraction(10 ** 40 - 1, 3) == Fraction(1, 3)
+
+
+# Text Fraction reads differently across Pythons or expands into a power of ten.
+SEPARATED = ["3_0/2", "1_0", "0.2_5"]
+EXPONENTS = ["1e1", "2E0", "1.e2", "\u0661e1", ".5e1", " 1E+5 ", "1e-1", "-3.25e2"]
+# Text with an "e" that Fraction does not read as an exponent: it refuses it anyway.
+NOT_EXPONENTS = ["three", "1e", "1e1x", ".e1", "e1", "1/2e1", "1e1/2", "1 e1"]
+
+
+class TestRationalText:
+    """Text has one grammar on every Python: an integer, a decimal or p/q."""
+
+    @pytest.mark.parametrize(
+        "texts, reason",
+        [
+            (SEPARATED, "digit separators '_' are not accepted, got {!r}"),
+            (EXPONENTS, "exponent notation is not accepted, got {!r}; write an integer or p/q"),
+            (NOT_EXPONENTS + ["", "1/0", "x", "3/2/1", "1.5/2"], "expected a rational like 7 or 3/2, got {!r}"),
+        ],
+        ids=["separators", "exponents", "malformed"],
+    )
+    def test_refusals(self, texts, reason):
+        for text in texts:
+            with pytest.raises(ValueError) as refused:
+                as_rational(text)
+            assert str(refused.value) == reason.format(text)
+
+    @given(text=st.text(alphabet=" +-./_eE01\u0661x", max_size=7))
+    @example(text="1e1")
+    @example(text="\u0661.e1")
+    @example(text=" 3/2 ")
+    @example(text="2.5")
+    @example(text="-0")
+    @example(text="7")
+    def test_refuses_what_fraction_reads_differently_and_nothing_else(self, text):
+        # Seven characters keep any exponent Fraction reads below 10**99999.
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        if "_" in text:
+            reason = "digit separators"
+        elif expected is not None and "e" in text.lower():
+            reason = "exponent notation"  # Fraction's only "e" is its exponent
+        elif expected is None:
+            reason = "expected a rational"
+        else:
+            assert as_rational(text) == expected  # the value Fraction reads
+            return
+        with pytest.raises(ValueError, match=f"^{reason}"):
+            as_rational(text)
 
 
 class TestPolyBasics:

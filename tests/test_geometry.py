@@ -41,6 +41,8 @@ class TestConstructionValidation:
             dict(n=3, r=2, l=3),          # l = r + 1 is out
             dict(n=3, r=2, l=2, vol_v=0),
             dict(n=3, r=2, l=2, vol_v=-1),
+            # Fraction reads "3_0/2" as 15 from Python 3.11 on, and the rest as powers of ten.
+            *(dict(n=3, r=text, l=2) for text in ["3_0/2", "1e1", "2E0", "1.e2", "\u0661e1"]),
         ],
     )
     def test_rejects_inadmissible(self, kwargs):

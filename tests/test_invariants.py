@@ -99,11 +99,7 @@ class TestBeta:
 
 
 class TestBetaSumLemma:
-    def test_sum_is_zero_on_full_grid(self):
-        for n, r, l in admissible_grid():
-            c = Construction(n, r, l, Fraction(22, 7))
-            assert beta(c, ZS) + beta(c, IS) == 0
-
+    # The sum itself is acceptance criterion 3, on the same grid.
     def test_sign_pattern_regression(self):
         # established by exact computation over the grid, then pinned
         for n, r, l in admissible_grid():
@@ -219,6 +215,12 @@ class TestReport:
         s_values = {ZS: Fraction(11, 10), IS: Fraction(19, 20)}
         monkeypatch.setattr(invariants, "s_invariant", lambda c, d: s_values[d])
         with pytest.raises(InvariantViolation, match="betas must sum to zero; betas are -1/10, 1/20"):
+            report(Construction(3, 2, Fraction(1, 2)))
+
+    def test_no_negative_beta_raises_invariant_violation(self, monkeypatch):
+        # Both betas zero away from l = 2: they sum to zero, yet neither destabilizes.
+        monkeypatch.setattr(invariants, "s_invariant", lambda c, d: Fraction(1))
+        with pytest.raises(InvariantViolation, match="^no strictly negative beta at l = 1/2; betas are 0, 0$"):
             report(Construction(3, 2, Fraction(1, 2)))
 
     def test_replace_is_checked(self):

@@ -147,3 +147,22 @@ class TestVolumeProfile:
         monkeypatch.setattr(nef, "top_power", lambda c, cls: real(c, cls) + next(shifts))
         with pytest.raises(InvariantViolation, match="discontinuous at t = 1"):
             volume_profile(Construction(3, 2, 1), ZS)
+
+    @pytest.mark.parametrize(
+        "volume, reason",
+        [
+            (Poly([1]), "volume must vanish at the pseudo-effective threshold t = 2"),
+            (T * (2 - T), "volume profile not nonincreasing"),  # rises on [0, 1], vanishes at 2
+        ],
+    )
+    def test_failed_guard_raises_invariant_violation(self, monkeypatch, volume, reason):
+        # Each wrong profile is continuous at t = 1, so it reaches the guard named.
+        monkeypatch.setattr(nef, "top_power", lambda c, cls: volume)
+        with pytest.raises(InvariantViolation, match=f"^{reason}$"):
+            volume_profile(Construction(3, 2, 1), IS)
+
+    def test_flat_stretch_is_nonincreasing(self, monkeypatch):
+        # Equal neighbouring samples pass: the guard refuses a rise, not a plateau.
+        volumes = iter([Poly([1]), 2 - T])
+        monkeypatch.setattr(nef, "top_power", lambda c, cls: next(volumes))
+        assert [p for _, _, p in volume_profile(Construction(3, 2, 1), IS)] == [Poly([1]), 2 - T]
