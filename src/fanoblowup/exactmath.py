@@ -12,6 +12,7 @@ floating point enters anywhere in this module.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
@@ -42,15 +43,17 @@ def _refuse_separators(text: str) -> None:
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or text like ``"3/2"`` to an exact Fraction.
 
-    Floats are rejected: silently converting a binary float would smuggle
-    rounding into an exact pipeline.  An exact Fraction (not a subclass) is
-    returned as it is.  Text is an integer, decimal or p/q on every Python,
-    without ``_`` separators or exponents; other text raises ValueError.
+    Floats and Decimals are rejected with TypeError: a binary float would
+    smuggle rounding into an exact pipeline, and Fraction expands a Decimal's
+    exponent, so ``Decimal("1e999999999")`` would not return.  An exact
+    Fraction (not a subclass) is returned as it is.  Text is an integer,
+    decimal or p/q on every Python, without ``_`` separators or exponents;
+    other text raises ValueError.
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}; pass an exact rational (int, Fraction, or 'p/q')")
+    if isinstance(value, (float, Decimal)):
+        raise TypeError(f"refusing {type(value).__name__} {value!r}; pass an exact rational (int, Fraction, or 'p/q')")
     if not isinstance(value, str):
         return Fraction(value)
     _refuse_separators(value)
@@ -145,23 +148,33 @@ class Poly:
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        b = o._coeffs
+        out = list(self._coeffs)
+        out += [Fraction(0)] * (len(b) - len(out))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return Poly(out)
 
     def __rsub__(self, other) -> "Poly":
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other) -> "Poly":
-        o = Poly._coerce(other)
-        if o is None:
+        if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        a, b = self._coeffs, o._coeffs
+        a, b = self._coeffs, other._coeffs if isinstance(other, Poly) else (other,)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # A constant factor scales the other operand in one pass.
+            k = b[0]
+            return Poly([k * c for c in a]) if k else ZERO
         if not a or not b:
             return ZERO
         out = [Fraction(0)] * (len(a) + len(b) - 1)
-        if o is self:
+        if other is self:
             # A square by symmetry: each cross product a_i a_j (i < j) once, doubled.
             for i, ca in enumerate(a):
                 out[2 * i] += ca * ca

@@ -23,6 +23,7 @@ top-power functional these rules define.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .exactmath import ZERO, Poly, RationalLike, as_rational
@@ -138,6 +139,11 @@ def derived_classes(c: Construction) -> DerivedClasses:
     return DerivedClasses(h=h, e=e, f=f, anti_k=anti_k)
 
 
+def _affine(q: Fraction, w: Poly, z: Poly) -> Poly:
+    """The base q w + z of a ladder, formed from the coefficients of w and z."""
+    return Poly([q * a + b for a, b in zip_longest(w.coeffs, z.coeffs, fillvalue=0)])
+
+
 def top_power(c: Construction, cls: ClassPoly) -> Poly:
     """Exact top intersection power (x V_0 + y Vbar_inf + z A)^n as a Poly in t.
 
@@ -151,17 +157,18 @@ def top_power(c: Construction, cls: ClassPoly) -> Poly:
     second ladder survives and the second term is n y z^(n-1).  A ladder whose
     coefficient (x or y) is the zero Poly vanishes and is not expanded; on
     [1, 2] each Zariski positive part has one such coefficient.  z^n is raised
-    only when a remaining ladder uses it.
+    only when a remaining ladder uses it.  Each ladder is scaled once, by
+    vol(V) / q or by n vol(V), and the ladders are summed once.
     """
-    n, x, y, z = c.n, cls.v0, cls.vinf, cls.a
+    n, x, y, z, vol_v = c.n, cls.v0, cls.vinf, cls.a, c.vol_v
     q0 = Fraction(-1) / c.r
     qinf = (1 - c.l) / c.r
     zn = z ** n if x or (y and qinf) else None
-    ladder_0 = ((q0 * x + z) ** n - zn) * (1 / q0) if x else ZERO
-    if not y:
-        ladder_inf = ZERO
-    elif qinf:
-        ladder_inf = ((qinf * y + z) ** n - zn) * (1 / qinf)
-    else:
-        ladder_inf = n * y * z ** (n - 1)
-    return c.vol_v * (ladder_0 + ladder_inf)
+    ladders = []
+    if x:
+        ladders.append((_affine(q0, x, z) ** n - zn) * (vol_v / q0))
+    if y and qinf:
+        ladders.append((_affine(qinf, y, z) ** n - zn) * (vol_v / qinf))
+    elif y:
+        ladders.append(y * (n * vol_v) * z ** (n - 1))
+    return sum(ladders[1:], ladders[0]) if ladders else ZERO

@@ -17,7 +17,7 @@ import enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactmath import InvariantViolation, Poly, T
+from .exactmath import InvariantViolation, Poly
 from .geometry import ClassPoly, Construction, derived_classes, top_power
 
 __all__ = ["HorizontalDivisor", "Segment", "decompose", "volume_profile"]
@@ -50,10 +50,9 @@ class Segment(NamedTuple):
     negative: ClassPoly
 
 
-def _divisor_class(d: HorizontalDivisor) -> ClassPoly:
-    if d is HorizontalDivisor.ZERO_SECTION:
-        return ClassPoly(1, 0, 0)
-    return ClassPoly(0, 1, 0)
+def _constants(cls: ClassPoly) -> list[Fraction]:
+    """The constant term of each coordinate of a class."""
+    return [p.coeffs[0] if p else Fraction(0) for p in cls]
 
 
 def decompose(c: Construction, d: HorizontalDivisor) -> list[Segment]:
@@ -61,8 +60,9 @@ def decompose(c: Construction, d: HorizontalDivisor) -> list[Segment]:
 
     The negative part is N = 0 on [0, 1], and on [1, 2] it is N = (t-1) E for
     D = Vbar_inf and N = (t-1) F for D = V_0.  The positive part is
-    P = -K_Y - t*D - N, so P + N = -K_Y - t*D holds by construction.  On [1, 2]
-    this gives
+    P = -K_Y - t*D - N, so P + N = -K_Y - t*D holds by construction.  Every
+    class here is affine in t, so P is derived on each coordinate's constant
+    and slope.  On [1, 2] this gives
         D = Vbar_inf:  P = (2-t) V_0 + ((r+1-t)/r) A
         D = V_0:       P = (2-t) Vbar_inf + ((r-(t-1)(l-1))/r) A
 
@@ -71,11 +71,14 @@ def decompose(c: Construction, d: HorizontalDivisor) -> list[Segment]:
     """
     der = derived_classes(c)
     contracted = der.e if d is HorizontalDivisor.INFINITY_SECTION else der.f
-    k_minus_td = der.anti_k - _divisor_class(d) * T
-    negative = contracted * (T - 1)
+    along_d = (1, 0, 0) if d is HorizontalDivisor.ZERO_SECTION else (0, 1, 0)
+    # Each class as (constant, slope) pairs, one per coordinate of (V_0, Vbar_inf, A).
+    k_minus_td = [(k, -u) for k, u in zip(_constants(der.anti_k), along_d)]
+    negative = [(-e, e) for e in _constants(contracted)]
+    positive = [(k - nk, s - ns) for (k, s), (nk, ns) in zip(k_minus_td, negative)]
     return [
-        Segment(Fraction(0), BREAK, k_minus_td, ClassPoly(0, 0, 0)),
-        Segment(BREAK, TAU, k_minus_td - negative, negative),
+        Segment(Fraction(0), BREAK, ClassPoly(*map(Poly, k_minus_td)), ClassPoly(0, 0, 0)),
+        Segment(BREAK, TAU, ClassPoly(*map(Poly, positive)), ClassPoly(*map(Poly, negative))),
     ]
 
 

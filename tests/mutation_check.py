@@ -67,24 +67,41 @@ MUTANTS = [
     Mutant("S1", "exactmath.py", "                twice = 2 * ca\n", "                twice = ca\n"),
     Mutant("S2", "exactmath.py", "for j in range(i + 1, len(a)):", "for j in range(i, len(a)):"),
     Mutant(
-        "S3", "exactmath.py", "        if o is self:\n", "        if o == self:\n",
+        "S3", "exactmath.py", "        if other is self:\n", "        if other == self:\n",
         equivalent="an equal operand has the same coefficients, so the square path gives the same product",
     ),
+    # A constant factor scales in one pass; a difference subtracts in one pass.
+    Mutant("C1", "exactmath.py", "Poly([k * c for c in a]) if k", "Poly(list(a)) if k"),
+    Mutant("C2", "exactmath.py", "            k = b[0]\n", "            k = a[0]\n"),
+    Mutant("D1", "exactmath.py", "            out[i] -= c\n", "            out[i] += c\n"),
+    Mutant("D2", "exactmath.py", "        out += [Fraction(0)] * (len(b) - len(out))\n", ""),
     Mutant("A1", "invariants.py", "[r, -1]).integrate(r - 1, r)", "[r, -1]).integrate(r, r - 1)"),
     Mutant("A2", "invariants.py", "num / (2 * Poly(", "num / (Poly("),
     Mutant("A3", "invariants.py", "Poly([0] * (n - 1) + [r, -1])", "Poly([0] * n + [r, -1])"),
     Mutant("A4", "invariants.py", "Poly([0] * (n - 1) + [1])", "Poly([0] * n + [1])"),
     Mutant("G1", "geometry.py", "q0 = Fraction(-1) / c.r", "q0 = Fraction(1) / c.r"),
     Mutant("G2", "geometry.py", "qinf = (1 - c.l) / c.r", "qinf = (c.l - 1) / c.r"),
-    Mutant("G3", "geometry.py", "((q0 * x + z) ** n - zn)", "((q0 * x + z) ** n)"),
-    Mutant("G4", "geometry.py", "((qinf * y + z) ** n - zn)", "((qinf * y + z) ** n)"),
-    Mutant("G5", "geometry.py", "n * y * z ** (n - 1)", "n * y * z ** n"),
+    Mutant("G3", "geometry.py", "(_affine(q0, x, z) ** n - zn)", "(_affine(q0, x, z) ** n)"),
+    Mutant("G4", "geometry.py", "(_affine(qinf, y, z) ** n - zn)", "(_affine(qinf, y, z) ** n)"),
+    Mutant("G5", "geometry.py", "z ** (n - 1)", "z ** n"),
+    # Each ladder's one scale, its affine base, and the one sum of the ladders.
+    Mutant("G6", "geometry.py", "(vol_v / q0)", "(vol_v * q0)"),
+    Mutant("G7", "geometry.py", "(vol_v / qinf)", "(vol_v * qinf)"),
+    Mutant("G8", "geometry.py", "(n * vol_v)", "(vol_v)"),
+    Mutant("G9", "geometry.py", "[q * a + b for", "[a + b for"),
+    Mutant("G10", "geometry.py", "sum(ladders[1:], ladders[0])", "ladders[-1]"),
     Mutant(
         "N1", "nef.py",
         "der.e if d is HorizontalDivisor.INFINITY_SECTION else der.f",
         "der.f if d is HorizontalDivisor.INFINITY_SECTION else der.e",
     ),
     Mutant("N2", "nef.py", "any(a < b for", "any(a <= b for"),
+    # P = -K_Y - t*D - N on each coordinate's (constant, slope).
+    Mutant("N3", "nef.py", "[(k - nk, s - ns) for", "[(k + nk, s - ns) for"),
+    Mutant("N4", "nef.py", "[(k - nk, s - ns) for", "[(k - nk, s + ns) for"),
+    Mutant("N5", "nef.py", "[(-e, e) for", "[(e, e) for"),
+    Mutant("N6", "nef.py", "[(k, -u) for", "[(k, u) for"),
+    Mutant("N7", "nef.py", "if p else Fraction(0) for", "if p else Fraction(1) for"),
     # The text grammar of as_rational: the "_" rule and the exponent rule.
     Mutant("T1", "exactmath.py", '    if "_" in text:\n', '    if "__" in text:\n'),
     Mutant("T2", "exactmath.py", "    if _EXPONENT.fullmatch(value):\n", "    if False:\n"),

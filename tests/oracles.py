@@ -78,9 +78,26 @@ def ladder_top_power(n: int, r: Fraction, l: Fraction, vol_v: Fraction, x, y, z)
             total += [Fraction(0)] * (len(rung) - len(total))
             for i, coeff in enumerate(rung):
                 total[i] += scale * coeff
-    while total and total[-1] == 0:
-        total.pop()
-    return tuple(total)
+    return _stripped(total)
+
+
+def _stripped(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    """The coefficients without trailing zeros, as in Poly.coeffs."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def coeff_product(a, b) -> tuple[Fraction, ...]:
+    """The schoolbook product of two coefficient sequences, with no constant-factor shortcut."""
+    return _stripped(_coeff_mul([Fraction(v) for v in a], [Fraction(v) for v in b]))
+
+
+def coeff_difference(a, b) -> tuple[Fraction, ...]:
+    """a - b coefficient by coefficient, the shorter sequence padded with zeros."""
+    size = max(len(a), len(b))
+    padded_a, padded_b = ([Fraction(v) for v in cs] + [Fraction(0)] * (size - len(cs)) for cs in (a, b))
+    return _stripped([u - v for u, v in zip(padded_a, padded_b)])
 
 
 def naive_eval(coeffs, x) -> Fraction:

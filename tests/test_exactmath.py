@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
-from fanoblowup import ONE, T, ZERO, Poly, as_rational, hilbert_projective_space
+from fanoblowup import ONE, T, ZERO, Construction, Poly, as_rational, hilbert_projective_space
 
-from oracles import binom_int, naive_eval, naive_integral
+from oracles import binom_int, coeff_difference, coeff_product, naive_eval, naive_integral
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 polys_st = st.lists(fractions_st, max_size=6).map(Poly)
@@ -50,6 +51,16 @@ class TestRational:
             pass
 
         assert type(as_rational(Half(1, 2))) is Fraction
+
+    def test_decimal_refused_like_float(self):
+        # Fraction would read Decimal("1e1") as 10 and expand a huge exponent without bound.
+        for value in (Decimal("1e1"), Decimal("1.5")):
+            with pytest.raises(TypeError, match="refusing Decimal"):
+                as_rational(value)
+            with pytest.raises(TypeError):
+                Construction(3, value, 2)
+            with pytest.raises(TypeError):
+                Poly([value])
 
     def test_comparison_is_exact(self):
         assert as_rational("1/3") * 3 == 1
@@ -227,6 +238,52 @@ class TestPolyRingLaws:
     @given(p=any_polys_st, x=points_st)
     def test_eval_matches_naive_summation(self, p, x):
         assert p(x) == naive_eval(p.coeffs, x)
+
+
+# A constant factor of each kind a product takes: an int, a Fraction, a degree-0 Poly, and zero.
+constants_st = st.one_of(
+    st.integers(-(2 ** 24), 2 ** 24),
+    fractions_st,
+    wide_coeffs_st,
+    wide_coeffs_st.map(lambda c: Poly([c])),
+    st.sampled_from([0, Fraction(0), ZERO]),
+)
+
+
+class TestAgainstCoefficientLists:
+    """Products by a constant and differences, against plain coefficient-list
+    arithmetic in oracles.  The ring laws compare one Poly result with another,
+    so a path that drops a constant the same way on both sides passes them."""
+
+    @given(p=any_polys_st, k=constants_st)
+    @example(p=Poly([1, 2]), k=0)
+    @example(p=ZERO, k=3)
+    @example(p=Poly([2]), k=Poly([Fraction(3, 5)]))
+    @example(p=Poly([Fraction(1, 3), 2, 5]), k=Fraction(-7, 2))
+    def test_constant_factor_on_either_side(self, p, k):
+        want = coeff_product(p.coeffs, k.coeffs if isinstance(k, Poly) else (k,))
+        for got in (p * k, k * p):
+            assert type(got) is Poly and got.coeffs == want
+            assert all(type(c) is Fraction for c in got.coeffs)
+        if not k:
+            assert p * k == k * p == ZERO
+
+    @given(p=any_polys_st, q=st.one_of(any_polys_st, constants_st))
+    @example(p=Poly([1]), q=Poly([0, 0, 1]))
+    @example(p=ZERO, q=Poly([Fraction(1, 2), 3]))
+    @example(p=Poly([1, 2, 3]), q=5)
+    def test_difference(self, p, q):
+        qc = q.coeffs if isinstance(q, Poly) else (q,)
+        assert (p - q).coeffs == coeff_difference(p.coeffs, qc)
+        assert (q - p).coeffs == coeff_difference(qc, p.coeffs)
+
+    @given(low=st.lists(st.tuples(wide_coeffs_st, wide_coeffs_st), max_size=5), top=st.lists(wide_coeffs_st, min_size=1, max_size=5))
+    @example(low=[(Fraction(1), Fraction(1))], top=[Fraction(2), Fraction(3)])
+    def test_difference_cancels_into_trailing_zeros(self, low, top):
+        p, q = Poly([u for u, _ in low] + top), Poly([v for _, v in low] + top)
+        diff = p - q
+        assert diff.coeffs == coeff_difference(p.coeffs, q.coeffs)
+        assert diff.degree < len(low)
 
 
 class TestIntegration:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,7 +59,20 @@ class TestDecompose:
         assert seg.negative == (T - 1) * derived_classes(c).f
 
     def test_symbolic_identity_on_grid(self):
-        for n, r, l in admissible_grid():
+        # Besides the small grid, seeded 24-bit r and l in every branch of l,
+        # where the coefficient arithmetic does not reduce.
+        rng = random.Random(24)
+
+        def wide() -> Fraction:
+            q = rng.getrandbits(24) | 1 << 23
+            return Fraction(rng.randrange(1, q), q)
+
+        points = list(admissible_grid())
+        for n in (2, 3, 6, 9):
+            for branch in range(6):
+                r, u = 1 + 4 * wide(), wide()
+                points.append((n, r, (0, u, 1, 1 + u, 2, 2 + u * (r - 1))[branch]))
+        for n, r, l in points:
             c = Construction(n, r, l)
             anti_k = derived_classes(c).anti_k
             for d in (ZS, IS):
