@@ -23,7 +23,6 @@ top-power functional these rules define.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from typing import NamedTuple
 
 from .exactmath import ZERO, Poly, RationalLike, as_rational
@@ -67,62 +66,27 @@ class Construction(_ConstructionFields):
         return cls(*fields)
 
 
-def _as_poly(value: Poly | RationalLike) -> Poly:
-    return value if isinstance(value, Poly) else Poly((value,))
+class ClassPoly(NamedTuple):
+    """A divisor class x*V_0 + y*Vbar_inf + z*A whose coordinates are affine in
+    the Zariski parameter t, each a (constant, slope) pair: x = x[0] + x[1] t."""
 
-
-class _ClassPolyFields(NamedTuple):
-    v0: Poly
-    vinf: Poly
-    a: Poly
-
-
-class ClassPoly(_ClassPolyFields):
-    """A divisor class x*V_0 + y*Vbar_inf + z*A with Poly coefficients.
-
-    Coefficients may depend on the Zariski parameter t; constant classes carry
-    degree-0 polynomials.  Addition and scaling are componentwise.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, v0: Poly | RationalLike, vinf: Poly | RationalLike, a: Poly | RationalLike) -> "ClassPoly":
-        return super().__new__(cls, _as_poly(v0), _as_poly(vinf), _as_poly(a))
-
-    @classmethod
-    def _make(cls, fields) -> "ClassPoly":
-        return cls(*fields)
-
-    def __add__(self, other: "ClassPoly") -> "ClassPoly":
-        if not isinstance(other, ClassPoly):
-            return NotImplemented
-        return ClassPoly(self.v0 + other.v0, self.vinf + other.vinf, self.a + other.a)
-
-    def __sub__(self, other: "ClassPoly") -> "ClassPoly":
-        if not isinstance(other, ClassPoly):
-            return NotImplemented
-        return ClassPoly(self.v0 - other.v0, self.vinf - other.vinf, self.a - other.a)
-
-    def __mul__(self, scale: Poly | RationalLike) -> "ClassPoly":
-        s = _as_poly(scale)
-        return ClassPoly(self.v0 * s, self.vinf * s, self.a * s)
-
-    __rmul__ = __mul__
+    v0: tuple[Fraction, Fraction]
+    vinf: tuple[Fraction, Fraction]
+    a: tuple[Fraction, Fraction]
 
 
 class DerivedClasses(NamedTuple):
-    """Named classes derived from the basis: H, E, F and -K_Y."""
+    """Named classes derived from the basis: E, F and -K_Y."""
 
-    h: ClassPoly
     e: ClassPoly
     f: ClassPoly
     anti_k: ClassPoly
 
 
 def derived_classes(c: Construction) -> DerivedClasses:
-    """Classes derived from (n, r, l) in the {V_0, Vbar_inf, A} basis.
+    """Classes derived from (n, r, l) in the {V_0, Vbar_inf, A} basis, each
+    coordinate with slope 0.
 
-        H      = V_0 + (1/r) A                relative hyperplane class
         E      = V_0 + (1/r) A - Vbar_inf     exceptional divisor of Y -> X
         F      = Vbar_inf + ((l-1)/r) A - V_0 strict transform of the pullback of B
         -K_Y   = V_0 + Vbar_inf + A
@@ -131,17 +95,17 @@ def derived_classes(c: Construction) -> DerivedClasses:
     the zero class is the geometric truth there; callers must not treat them
     as effective in that degenerate case.
     """
-    r, l = c.r, c.l
-    h = ClassPoly(1, 0, Fraction(1) / r)
-    e = ClassPoly(1, -1, Fraction(1) / r)
-    f = ClassPoly(-1, 1, (l - 1) / r)
-    anti_k = ClassPoly(1, 1, 1)
-    return DerivedClasses(h=h, e=e, f=f, anti_k=anti_k)
+    zero, one = Fraction(0), Fraction(1)
+    return DerivedClasses(
+        e=ClassPoly((one, zero), (-one, zero), (one / c.r, zero)),
+        f=ClassPoly((-one, zero), (one, zero), ((c.l - 1) / c.r, zero)),
+        anti_k=ClassPoly((one, zero), (one, zero), (one, zero)),
+    )
 
 
-def _affine(q: Fraction, w: Poly, z: Poly) -> Poly:
-    """The base q w + z of a ladder, formed from the coefficients of w and z."""
-    return Poly([q * a + b for a, b in zip_longest(w.coeffs, z.coeffs, fillvalue=0)])
+def _affine(q: Fraction, w: tuple[Fraction, Fraction], z: tuple[Fraction, Fraction]) -> Poly:
+    """The base q w + z of a ladder, formed from the (constant, slope) pairs of w and z."""
+    return Poly([q * w[0] + z[0], q * w[1] + z[1]])
 
 
 def top_power(c: Construction, cls: ClassPoly) -> Poly:
@@ -155,20 +119,23 @@ def top_power(c: Construction, cls: ClassPoly) -> Poly:
 
     q0 is never zero; at l = 1, where qinf = 0, only the k = 1 rung of the
     second ladder survives and the second term is n y z^(n-1).  A ladder whose
-    coefficient (x or y) is the zero Poly vanishes and is not expanded; on
-    [1, 2] each Zariski positive part has one such coefficient.  z^n is raised
-    only when a remaining ladder uses it.  Each ladder is scaled once, by
-    vol(V) / q or by n vol(V), and the ladders are summed once.
+    coefficient (x or y) is zero vanishes and is not expanded; on [1, 2] each
+    Zariski positive part has one such coefficient.  z^n is raised only when
+    a remaining ladder uses it.  Each ladder is scaled once, by vol(V) / q or
+    by n vol(V), and the ladders are summed once.  This is where a class's
+    pairs become Poly: z, each ladder's base and, at l = 1, y.
     """
-    n, x, y, z, vol_v = c.n, cls.v0, cls.vinf, cls.a, c.vol_v
+    n, (x, y, z), vol_v = c.n, cls, c.vol_v
     q0 = Fraction(-1) / c.r
     qinf = (1 - c.l) / c.r
-    zn = z ** n if x or (y and qinf) else None
+    has_x, has_y = any(x), any(y)
+    z_t = Poly(z)
+    zn = z_t ** n if has_x or (has_y and qinf) else None
     ladders = []
-    if x:
+    if has_x:
         ladders.append((_affine(q0, x, z) ** n - zn) * (vol_v / q0))
-    if y and qinf:
+    if has_y and qinf:
         ladders.append((_affine(qinf, y, z) ** n - zn) * (vol_v / qinf))
-    elif y:
-        ladders.append(y * (n * vol_v) * z ** (n - 1))
+    elif has_y:
+        ladders.append(Poly(y) * (n * vol_v) * z_t ** (n - 1))
     return sum(ladders[1:], ladders[0]) if ladders else ZERO

@@ -39,9 +39,9 @@ class HorizontalDivisor(enum.Enum):
 class Segment(NamedTuple):
     """One piece [t_lo, t_hi] of a Zariski decomposition.
 
-    positive + negative equals -K_Y - t*D as an identity of ClassPoly
-    coefficients on the segment; negative is a nonnegative multiple of E or F
-    there (or zero).
+    positive + negative equals -K_Y - t*D as an identity of the classes'
+    (constant, slope) pairs on the segment; negative is a nonnegative multiple
+    of E or F there (or zero).
     """
 
     t_lo: Fraction
@@ -50,19 +50,14 @@ class Segment(NamedTuple):
     negative: ClassPoly
 
 
-def _constants(cls: ClassPoly) -> list[Fraction]:
-    """The constant term of each coordinate of a class."""
-    return [p.coeffs[0] if p else Fraction(0) for p in cls]
-
-
 def decompose(c: Construction, d: HorizontalDivisor) -> list[Segment]:
     """Zariski decomposition of -K_Y - t*D, as two segments covering [0, 2].
 
     The negative part is N = 0 on [0, 1], and on [1, 2] it is N = (t-1) E for
     D = Vbar_inf and N = (t-1) F for D = V_0.  The positive part is
     P = -K_Y - t*D - N, so P + N = -K_Y - t*D holds by construction.  Every
-    class here is affine in t, so P is derived on each coordinate's constant
-    and slope.  On [1, 2] this gives
+    class here is affine in t, so P is derived on each coordinate's
+    (constant, slope) pair.  On [1, 2] this gives
         D = Vbar_inf:  P = (2-t) V_0 + ((r+1-t)/r) A
         D = V_0:       P = (2-t) Vbar_inf + ((r-(t-1)(l-1))/r) A
 
@@ -72,13 +67,14 @@ def decompose(c: Construction, d: HorizontalDivisor) -> list[Segment]:
     der = derived_classes(c)
     contracted = der.e if d is HorizontalDivisor.INFINITY_SECTION else der.f
     along_d = (1, 0, 0) if d is HorizontalDivisor.ZERO_SECTION else (0, 1, 0)
-    # Each class as (constant, slope) pairs, one per coordinate of (V_0, Vbar_inf, A).
-    k_minus_td = [(k, -u) for k, u in zip(_constants(der.anti_k), along_d)]
-    negative = [(-e, e) for e in _constants(contracted)]
+    # One (constant, slope) pair per coordinate of (V_0, Vbar_inf, A); -K_Y, E and F are constant.
+    k_minus_td = [(k, s - u) for (k, s), u in zip(der.anti_k, along_d)]
+    negative = [(-e, e) for e, _ in contracted]
     positive = [(k - nk, s - ns) for (k, s), (nk, ns) in zip(k_minus_td, negative)]
+    zero = (Fraction(0), Fraction(0))
     return [
-        Segment(Fraction(0), BREAK, ClassPoly(*map(Poly, k_minus_td)), ClassPoly(0, 0, 0)),
-        Segment(BREAK, TAU, ClassPoly(*map(Poly, positive)), ClassPoly(*map(Poly, negative))),
+        Segment(Fraction(0), BREAK, ClassPoly(*k_minus_td), ClassPoly(zero, zero, zero)),
+        Segment(BREAK, TAU, ClassPoly(*positive), ClassPoly(*negative)),
     ]
 
 

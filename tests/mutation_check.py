@@ -83,13 +83,20 @@ MUTANTS = [
     Mutant("G2", "geometry.py", "qinf = (1 - c.l) / c.r", "qinf = (c.l - 1) / c.r"),
     Mutant("G3", "geometry.py", "(_affine(q0, x, z) ** n - zn)", "(_affine(q0, x, z) ** n)"),
     Mutant("G4", "geometry.py", "(_affine(qinf, y, z) ** n - zn)", "(_affine(qinf, y, z) ** n)"),
-    Mutant("G5", "geometry.py", "z ** (n - 1)", "z ** n"),
+    Mutant("G5", "geometry.py", "z_t ** (n - 1)", "z_t ** n"),
     # Each ladder's one scale, its affine base, and the one sum of the ladders.
     Mutant("G6", "geometry.py", "(vol_v / q0)", "(vol_v * q0)"),
     Mutant("G7", "geometry.py", "(vol_v / qinf)", "(vol_v * qinf)"),
     Mutant("G8", "geometry.py", "(n * vol_v)", "(vol_v)"),
-    Mutant("G9", "geometry.py", "[q * a + b for", "[a + b for"),
+    Mutant("G9", "geometry.py", "Poly([q * w[0] + z[0],", "Poly([w[0] + z[0],"),
     Mutant("G10", "geometry.py", "sum(ladders[1:], ladders[0])", "ladders[-1]"),
+    # Classes are (constant, slope) pairs: a base's slope, a ladder's test for a
+    # zero coefficient, and z's slope.
+    Mutant("G11", "geometry.py", ", q * w[1] + z[1]])", "])"),
+    Mutant("G12", "geometry.py", "q * w[1] + z[1]", "z[1]"),
+    Mutant("G13", "geometry.py", "any(x)", "x[0]"),
+    Mutant("G14", "geometry.py", "any(y)", "y[0]"),
+    Mutant("G15", "geometry.py", "z_t = Poly(z)", "z_t = Poly(z[:1])"),
     Mutant(
         "N1", "nef.py",
         "der.e if d is HorizontalDivisor.INFINITY_SECTION else der.f",
@@ -100,8 +107,7 @@ MUTANTS = [
     Mutant("N3", "nef.py", "[(k - nk, s - ns) for", "[(k + nk, s - ns) for"),
     Mutant("N4", "nef.py", "[(k - nk, s - ns) for", "[(k - nk, s + ns) for"),
     Mutant("N5", "nef.py", "[(-e, e) for", "[(e, e) for"),
-    Mutant("N6", "nef.py", "[(k, -u) for", "[(k, u) for"),
-    Mutant("N7", "nef.py", "if p else Fraction(0) for", "if p else Fraction(1) for"),
+    Mutant("N6", "nef.py", "[(k, s - u) for", "[(k, s + u) for"),
     # The text grammar of as_rational: the "_" rule and the exponent rule.
     Mutant("T1", "exactmath.py", '    if "_" in text:\n', '    if "__" in text:\n'),
     Mutant("T2", "exactmath.py", "    if _EXPONENT.fullmatch(value):\n", "    if False:\n"),

@@ -25,8 +25,25 @@ ZS = HorizontalDivisor.ZERO_SECTION
 IS = HorizontalDivisor.INFINITY_SECTION
 
 
-def divisor_class(d):
-    return ClassPoly(1, 0, 0) if d is ZS else ClassPoly(0, 1, 0)
+ZERO_PAIR = (Fraction(0), Fraction(0))
+ZERO_CLASS = ClassPoly(ZERO_PAIR, ZERO_PAIR, ZERO_PAIR)
+
+
+def t_times_divisor(d):
+    """The class t D, as (constant, slope) pairs."""
+    along = (Fraction(0), Fraction(1))
+    return ClassPoly(along, ZERO_PAIR, ZERO_PAIR) if d is ZS else ClassPoly(ZERO_PAIR, along, ZERO_PAIR)
+
+
+def class_sum(*classes):
+    """The componentwise sum of classes given as (constant, slope) pairs."""
+    return ClassPoly(*((sum(k for k, _ in pairs), sum(u for _, u in pairs)) for pairs in zip(*classes)))
+
+
+def t_minus_1_times(cls):
+    """(t - 1) times a constant class: each constant k becomes -k + k t."""
+    assert all(u == 0 for _, u in cls)
+    return ClassPoly(*((-k, k) for k, _ in cls))
 
 
 class TestDecompose:
@@ -40,23 +57,23 @@ class TestDecompose:
             c = Construction(n, r, l)
             for d in (ZS, IS):
                 first = decompose(c, d)[0]
-                assert first.negative == ClassPoly(0, 0, 0)
-                at0 = ClassPoly(first.positive.v0(0), first.positive.vinf(0), first.positive.a(0))
+                assert first.negative == ZERO_CLASS
+                at0 = ClassPoly(*((k, 0) for k, _ in first.positive))
                 assert at0 == derived_classes(c).anti_k
 
     def test_infinity_section_outer_segment(self):
         for n, r, l in admissible_grid():
             c = Construction(n, r, l)
             seg = decompose(c, IS)[1]
-            assert seg.positive == ClassPoly(2 - T, 0, (Poly([r + 1]) - T) * Fraction(1, r))
-            assert seg.negative == (T - 1) * derived_classes(c).e
+            assert seg.positive == ClassPoly((2, -1), ZERO_PAIR, ((r + 1) / r, -1 / r))
+            assert seg.negative == t_minus_1_times(derived_classes(c).e)
 
     def test_zero_section_outer_segment(self):
         c = Construction(3, 3, 3)
         seg = decompose(c, ZS)[1]
         # A-coefficient (r - (t-1)(l-1))/r = (5 - 2t)/3
-        assert seg.positive.a == Poly([Fraction(5, 3), Fraction(-2, 3)])
-        assert seg.negative == (T - 1) * derived_classes(c).f
+        assert seg.positive.a == (Fraction(5, 3), Fraction(-2, 3))
+        assert seg.negative == t_minus_1_times(derived_classes(c).f)
 
     def test_symbolic_identity_on_grid(self):
         # Besides the small grid, seeded 24-bit r and l in every branch of l,
@@ -77,16 +94,35 @@ class TestDecompose:
             anti_k = derived_classes(c).anti_k
             for d in (ZS, IS):
                 for seg in decompose(c, d):
-                    assert seg.positive + seg.negative + divisor_class(d) * T == anti_k
+                    assert class_sum(seg.positive, seg.negative, t_times_divisor(d)) == anti_k
 
     def test_negative_part_is_nonneg_multiple_on_segment(self):
         c = Construction(4, Fraction(5, 4), Fraction(3, 2))
         der = derived_classes(c)
         for d, contracted in ((IS, der.e), (ZS, der.f)):
             inner, outer = decompose(c, d)
-            assert inner.negative == ClassPoly(0, 0, 0)
+            assert inner.negative == ZERO_CLASS
             # outer negative = (t-1) * contracted, and t-1 >= 0 on [1, 2]
-            assert outer.negative == (T - 1) * contracted
+            assert outer.negative == t_minus_1_times(contracted)
+
+    def test_builds_no_poly(self, monkeypatch):
+        # Classes stay (constant, slope) pairs until top_power raises them.
+        built = []
+        init = Poly.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Poly, "__init__", counting)
+        for n, r, l in admissible_grid():
+            c = Construction(n, r, l)
+            derived_classes(c)
+            for d in (ZS, IS):
+                decompose(c, d)
+        assert built == []
+        top_power(c, derived_classes(c).anti_k)
+        assert built, "the count must see the Poly that top_power builds"
 
 
 class TestZariskiOrthogonality:
@@ -101,7 +137,7 @@ class TestZariskiOrthogonality:
             for d in (ZS, IS):
                 _, outer = decompose(c, d)
                 for t in (Fraction(5, 4), Fraction(3, 2), Fraction(7, 4), Fraction(2)):
-                    p, neg = ([part(t) for part in cls] for cls in (outer.positive, outer.negative))
+                    p, neg = ([k + u * t for k, u in cls] for cls in (outer.positive, outer.negative))
                     pencil = ladder_top_power(n, r, l, c.vol_v, *zip(p, neg))
                     linear = pencil[1] if len(pencil) > 1 else 0
                     if linear:

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from fanoblowup import (
-    ClassPoly,
     Construction,
     HorizontalDivisor,
     KUnstable,
@@ -26,7 +25,7 @@ ENTRY = load_catalog(default_catalog_path())[0]
 # One instance of every record type the package returns, with one of its fields.
 RECORDS = [
     (C, "n"),
-    (ClassPoly(1, 0, 0), "v0"),
+    (derived_classes(C).anti_k, "v0"),
     (derived_classes(C), "anti_k"),
     (decompose(C, HorizontalDivisor.ZERO_SECTION)[0], "positive"),
     (ReducesToPair(Fraction(1, 4)), "a"),

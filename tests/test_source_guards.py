@@ -4,11 +4,14 @@
   ``python -O``, so no ``assert`` is allowed anywhere in the package.
 - No memoization (functools.cache, lru_cache, cached_property): a measured
   speed-up must come from less work per call, not from reusing earlier calls.
+- The package is stdlib-only: every absolute import, function-local ones
+  included, names a standard-library module.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fanoblowup"
@@ -46,3 +49,18 @@ def test_no_memoization():
                 continue
             found += [f"{module}.py:{node.lineno} {name}" for name in names if name in MEMOIZERS]
     assert found == []
+
+
+def test_imports_only_the_standard_library():
+    foreign = []
+    for module, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = [name.partition(".")[0] for name in names]
+            foreign += [f"{module}.py:{node.lineno} {name}" for name in top if name not in sys.stdlib_module_names]
+    assert foreign == []
