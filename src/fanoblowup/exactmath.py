@@ -19,7 +19,7 @@ from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
-__all__ = ["RationalLike", "InvariantViolation", "as_rational", "Poly", "ZERO", "ONE", "T"]
+__all__ = ["RationalLike", "InvariantViolation", "as_rational", "Poly", "ZERO", "ONE"]
 
 
 class InvariantViolation(ArithmeticError):
@@ -87,8 +87,9 @@ class Poly:
 
     ``coeffs[i]`` is the coefficient of ``t**i``; trailing zeros are stripped,
     so the zero polynomial is the empty tuple and otherwise the leading
-    coefficient is nonzero.  Instances are immutable and hashable, and a Poly
-    equals only another Poly, never a scalar, so ``==`` agrees with ``hash``.
+    coefficient is nonzero.  Instances are immutable and hashable.  A Poly
+    equals, adds and subtracts only another Poly, never a scalar, so ``==``
+    agrees with ``hash``; a scalar enters only as a factor of a product.
     """
 
     __slots__ = ("_coeffs",)
@@ -98,14 +99,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @staticmethod
-    def _coerce(value) -> "Poly | None":
-        if isinstance(value, Poly):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Poly((value,))
-        return None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -127,14 +120,10 @@ class Poly:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self._coeffs])
-
     def __add__(self, other) -> "Poly":
-        o = Poly._coerce(other)
-        if o is None:
+        if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, o._coeffs
+        a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -142,24 +131,15 @@ class Poly:
             out[i] += c
         return Poly(out)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Poly":
-        o = Poly._coerce(other)
-        if o is None:
+        if not isinstance(other, Poly):
             return NotImplemented
-        b = o._coeffs
+        b = other._coeffs
         out = list(self._coeffs)
         out += [Fraction(0)] * (len(b) - len(out))
         for i, c in enumerate(b):
             out[i] -= c
         return Poly(out)
-
-    def __rsub__(self, other) -> "Poly":
-        o = Poly._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, (Poly, int, Fraction)):
@@ -235,4 +215,3 @@ class Poly:
 
 ZERO = Poly()
 ONE = Poly([1])
-T = Poly([0, 1])

@@ -1,4 +1,5 @@
-"""Fixed-list mutation check of the library's exact kernels and text grammar.
+"""Fixed-list mutation check of the library's exact kernels, text grammar,
+verdict and refinement sums.
 
 Each mutant is one textual edit to one file of ``src/fanoblowup``.  It is
 applied to a temporary copy of ``src/``, never in place, and the library test
@@ -12,6 +13,7 @@ Run from anywhere, with pytest and hypothesis installed:
     python tests/mutation_check.py
 
 Pytest does not collect this file: its name does not match ``test_*.py``.
+``tests/test_source_guards.py`` imports it and fails fast on a stale mutant.
 """
 
 from __future__ import annotations
@@ -117,6 +119,31 @@ MUTANTS = [
     Mutant("T6", "exactmath.py", r"(?=\d|\.\d)\d*", r"(?=\d|\.\d)[0-9]*"),
     Mutant("T7", "exactmath.py", r"[-+]?(?=\d|\.\d)", r"[-+]?"),
     Mutant("T8", "exactmath.py", "    except (ValueError, ZeroDivisionError):\n", "    except ValueError:\n"),
+    # The verdict: which branch l takes, the beta checks, and which beta a KUnstable carries;
+    # S's divisor vol(-K_Y) and vol_y's degree guard.
+    Mutant("R1", "invariants.py", "    if c.l == 2:\n", "    if c.l != 2:\n"),
+    Mutant("R2", "invariants.py", "    elif beta_v0 + beta_vinf:\n", "    elif False:\n"),
+    Mutant("R3", "invariants.py", "    elif beta_v0 < 0:\n", "    elif beta_v0 <= 0:\n"),
+    Mutant("R4", "invariants.py", "(HorizontalDivisor.ZERO_SECTION, beta_v0)", "(HorizontalDivisor.ZERO_SECTION, beta_vinf)"),
+    Mutant("R5", "invariants.py", "(HorizontalDivisor.INFINITY_SECTION, beta_vinf)", "(HorizontalDivisor.INFINITY_SECTION, beta_v0)"),
+    Mutant("R6", "invariants.py", "total / profile[0][2](0)", "total / profile[0][2](1)"),
+    Mutant("R7", "invariants.py", "    if value.degree > 0:\n", "    if value.degree > 1:\n"),
+    # A level's m+1 counts, N_m, its rows' sections and fixed weights, a_m's
+    # denominator, the table's distinct sorted levels, and the base check.
+    Mutant("M1", "refinement.py", "total = 2 * sum(counts) - counts[0]", "total = 2 * sum(counts)"),
+    Mutant("M2", "refinement.py", "for i in range(m + 1)]", "for i in range(m)]"),
+    Mutant("M3", "refinement.py", "chain(counts[:0:-1], counts)", "chain(counts[::-1], counts)"),
+    Mutant("M4", "refinement.py", "chain(repeat(0, m), range(m + 1))", "chain(repeat(1, m), range(m + 1))"),
+    Mutant("M5", "refinement.py", "chain(repeat(0, m), range(m + 1))", "chain(repeat(0, m), range(1, m + 2))"),
+    Mutant("M6", "refinement.py", "Fraction(weighted, m * profile.total_sections)", "Fraction(weighted, profile.total_sections)"),
+    Mutant("M7", "refinement.py", "sorted(set(ms))", "sorted(ms)"),
+    Mutant("M8", "refinement.py", "if h.dim != c.n - 1 or h.index != c.r:", "if h.dim != c.n - 1:"),
+    Mutant("M9", "refinement.py", "if h.dim != c.n - 1 or h.index != c.r:", "if h.index != c.r:"),
+    # basis_profile's l, stride and no-sections checks; the table's equal-limit guard.
+    Mutant("M10", "refinement.py", "    if c.l != 2:\n", "    if c.l > 2:\n"),
+    Mutant("M11", "refinement.py", "    if mr.denominator != 1:\n", "    if mr.denominator > 2:\n"),
+    Mutant("M12", "refinement.py", "    if total <= 0:\n", "    if total < 0:\n"),
+    Mutant("M13", "refinement.py", "    if not error:\n", "    if False:\n"),
 ]
 
 
@@ -131,15 +158,25 @@ def run_tests(src: Path, workdir: Path, first: str = "") -> bool:
     return done.returncode == 0
 
 
+def stale(mutant: Mutant, package: Path) -> str | None:
+    """Why the mutant's edit does not apply to the package directory, or None
+    when its old text occurs exactly once in its module."""
+    path = package / mutant.module
+    if not path.is_file():
+        return f"stale: no module {mutant.module}"
+    count = path.read_text(encoding="utf-8").count(mutant.old)
+    return None if count == 1 else f"stale: {mutant.old!r} occurs {count} times in {mutant.module}"
+
+
 def check(mutant: Mutant, scratch: Path) -> str:
     """Apply one mutant to a fresh copy of src/ and return its verdict."""
     src = scratch / mutant.key / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    reason = stale(mutant, src / "fanoblowup")
+    if reason:
+        return reason
     path = src / "fanoblowup" / mutant.module
-    text = path.read_text(encoding="utf-8")
-    if text.count(mutant.old) != 1:
-        return f"stale: {mutant.old!r} occurs {text.count(mutant.old)} times in {mutant.module}"
-    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
     survived = run_tests(src, src.parent, first=f"test_{mutant.module}")
     if survived and mutant.equivalent is None:
         return "SURVIVED"

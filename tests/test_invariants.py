@@ -16,7 +16,6 @@ from fanoblowup import (
     KUnstable,
     Poly,
     ReducesToPair,
-    T,
     beta,
     classification_fields,
     classification_text,
@@ -297,7 +296,7 @@ class TestReportWork:
 
 class TestVolY:
     def test_non_constant_top_power_raises(self, monkeypatch):
-        monkeypatch.setattr(invariants, "top_power", lambda c, cls: T)
+        monkeypatch.setattr(invariants, "top_power", lambda c, cls: Poly([0, 1]))
         with pytest.raises(InvariantViolation, match="vol_y must be constant"):
             vol_y(Construction(3, 2, 2))
 

@@ -12,7 +12,6 @@ from fanoblowup import (
     HorizontalDivisor,
     InvariantViolation,
     Poly,
-    T,
     decompose,
     derived_classes,
     top_power,
@@ -151,8 +150,8 @@ class TestVolumeProfile:
             c = Construction(n, r, 2, Fraction(3))
             (lo1, hi1, p1), (lo2, hi2, p2) = volume_profile(c, IS)
             scale = c.vol_v / r ** (n - 1)
-            inner = (Poly([2 * r ** n - (r - 1) ** n]) - (Poly([r - 1]) + T) ** n) * scale
-            outer = ((Poly([r + 1]) - T) ** n - Poly([(r - 1) ** n])) * scale
+            inner = (Poly([2 * r ** n - (r - 1) ** n]) - Poly([r - 1, 1]) ** n) * scale
+            outer = (Poly([r + 1, -1]) ** n - Poly([(r - 1) ** n])) * scale
             assert (lo1, hi1, p1) == (0, 1, inner)
             assert (lo2, hi2, p2) == (1, 2, outer)
 
@@ -194,7 +193,7 @@ class TestVolumeProfile:
         # An explicit check, not an assert: the suite also runs under python -O.
         shifts = iter([0, 1])
         real = nef.top_power
-        monkeypatch.setattr(nef, "top_power", lambda c, cls: real(c, cls) + next(shifts))
+        monkeypatch.setattr(nef, "top_power", lambda c, cls: real(c, cls) + Poly([next(shifts)]))
         with pytest.raises(InvariantViolation, match="discontinuous at t = 1"):
             volume_profile(Construction(3, 2, 1), ZS)
 
@@ -202,7 +201,7 @@ class TestVolumeProfile:
         "volume, reason",
         [
             (Poly([1]), "volume must vanish at the pseudo-effective threshold t = 2"),
-            (T * (2 - T), "volume profile not nonincreasing"),  # rises on [0, 1], vanishes at 2
+            (Poly([0, 2, -1]), "volume profile not nonincreasing"),  # rises on [0, 1], vanishes at 2
         ],
     )
     def test_failed_guard_raises_invariant_violation(self, monkeypatch, volume, reason):
@@ -213,6 +212,6 @@ class TestVolumeProfile:
 
     def test_flat_stretch_is_nonincreasing(self, monkeypatch):
         # Equal neighbouring samples pass: the guard refuses a rise, not a plateau.
-        volumes = iter([Poly([1]), 2 - T])
+        volumes = iter([Poly([1]), Poly([2, -1])])
         monkeypatch.setattr(nef, "top_power", lambda c, cls: next(volumes))
-        assert [p for _, _, p in volume_profile(Construction(3, 2, 1), IS)] == [Poly([1]), 2 - T]
+        assert [p for _, _, p in volume_profile(Construction(3, 2, 1), IS)] == [Poly([1]), Poly([2, -1])]

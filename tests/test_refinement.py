@@ -16,7 +16,15 @@ from fanoblowup import (
     hilbert_projective_space,
 )
 
-from oracles import a_m_hockey_stick_d1, a_m_unfolded, interpolate, naive_eval, refinement_rows_unfolded
+from oracles import (
+    a_m_hockey_stick_d1,
+    a_m_unfolded,
+    coeff_difference,
+    coeff_product,
+    interpolate,
+    naive_eval,
+    refinement_rows_unfolded,
+)
 
 P2 = hilbert_projective_space(2, 1)
 C33 = Construction(3, 3, 2, 9)
@@ -85,8 +93,9 @@ class TestBasisProfile:
                 assert row.fixed == (0 if row.j <= m else row.j - m)
 
     def test_rejects_l_not_2(self):
-        with pytest.raises(ValueError, match="l = 2"):
-            basis_profile(Construction(3, 3, 3, 9), P2, 1)
+        for l in (3, Fraction(5, 2), 1, 0):
+            with pytest.raises(ValueError, match="l = 2"):
+                basis_profile(Construction(3, 3, l, 9), P2, 1)
 
     def test_rejects_fractional_mr_with_stride(self):
         c = Construction(3, Fraction(3, 2), 2, 9)
@@ -100,6 +109,9 @@ class TestBasisProfile:
         c = Construction(3, 2, 2, 9)
         with pytest.raises(ValueError, match="base mismatch"):
             basis_profile(c, hilbert_projective_space(2, 3), 1)
+        # P^5 with L = O(2) has index 3, as C33 needs, but dimension 5, not 2
+        with pytest.raises(ValueError, match="base mismatch"):
+            basis_profile(C33, hilbert_projective_space(5, 2), 1)
 
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValueError):
@@ -141,6 +153,15 @@ def interpolated_sums(s: int, d: int) -> tuple[list[Fraction], list[Fraction]]:
         n_points.append((m, profile.total_sections))
         w_points.append((m, sum(sections * fixed for _, sections, fixed in profile.rows)))
     return interpolate(n_points), interpolate(w_points)
+
+
+def error_polys(s: int, d: int) -> tuple[tuple[Fraction, ...], list[Fraction]]:
+    """E = W - a m N and N over ps:s:d, so that a_m - a(n, r) = E(m) / (m N(m))
+    along the stride; N and W have their degrees s+1 and s+2."""
+    c, _, _ = base_case(s, d)
+    n_poly, w_poly = interpolated_sums(s, d)
+    assert (len(n_poly) - 1, len(w_poly) - 1) == (s + 1, s + 2)
+    return coeff_difference(w_poly, coeff_product([0, coefficient_a(s + 1, c.r)], n_poly)), n_poly
 
 
 def compose_affine(coeffs: list[Fraction], alpha, beta) -> list[Fraction]:
@@ -230,13 +251,8 @@ class TestRefinementCertificate:
     @pytest.mark.parametrize("s, d", BASES_TO_9)
     def test_side_of_the_limit_at_every_level(self, s, d):
         c, h, stride = base_case(s, d)
-        n_poly, w_poly = interpolated_sums(s, d)
-        assert (len(n_poly) - 1, len(w_poly) - 1) == (s + 1, s + 2)
+        e_poly, n_poly = error_polys(s, d)
         a = coefficient_a(s + 1, c.r)
-        m_n = [Fraction(0)] + [a * coeff for coeff in n_poly]
-        e_poly = [w - mn for w, mn in zip(w_poly, m_n)]
-        while e_poly and e_poly[-1] == 0:
-            e_poly.pop()
         assert len(e_poly) - 1 == s + 1
         limit = e_poly[-1] / n_poly[-1]
         assert limit > 0
@@ -260,6 +276,60 @@ class TestRefinementCertificate:
         assert naive_eval(e_poly, k * stride) < 0 < naive_eval(e_poly, (k + 1) * stride)
         if (s, d) in self.CROSSINGS:
             assert (k * stride, (k + 1) * stride) == self.CROSSINGS[s, d]
+
+
+class TestMonotoneError:
+    """From which level on |a_m - a(n, r)| strictly decreases, at every level.
+
+    With e(m) = a_m - a = E(m) / (m N(m)) and the stride delta,
+
+        P(m) = E(m) (m + delta) N(m + delta) - E(m + delta) m N(m)
+
+    has the sign of e(m) - e(m + delta).  If P(m0 + delta u) has no sign
+    change in u and P(m0) > 0, Descartes' rule gives P > 0 at every m >= m0,
+    so e strictly decreases from m0 on; as it tends to 0 it stays positive
+    there, so |a_m - a| strictly decreases too.  The levels below m0 are
+    checked exactly with a_m: P has the sign of e(m) - e(m + delta) at each,
+    and at m0 - delta the error does not decrease, so m0 is where the
+    decrease starts.
+    """
+
+    # Pinned from the certificates: the least level m0 of each ps:s:d, by s.
+    START = {
+        (1, 1): 1,
+        (2, 1): 1, (2, 2): 2,
+        (3, 1): 1, (3, 2): 2, (3, 3): 6,
+        (4, 1): 1, (4, 2): 2, (4, 3): 6, (4, 4): 12,
+        (5, 1): 1, (5, 2): 2, (5, 3): 5, (5, 4): 10, (5, 5): 15,
+        (6, 1): 1, (6, 2): 2, (6, 3): 6, (6, 4): 12, (6, 5): 15, (6, 6): 24,
+        (7, 1): 1, (7, 2): 3, (7, 3): 6, (7, 4): 10, (7, 5): 15, (7, 6): 24, (7, 7): 35,
+        (8, 1): 1, (8, 2): 2, (8, 3): 6, (8, 4): 12, (8, 5): 15, (8, 6): 24, (8, 7): 35, (8, 8): 40,
+        (9, 1): 1, (9, 2): 3, (9, 3): 6, (9, 4): 10, (9, 5): 16, (9, 6): 24, (9, 7): 35, (9, 8): 44, (9, 9): 54,
+    }
+
+    @pytest.mark.parametrize("s, d", BASES_TO_9)
+    def test_error_decreases_from_the_pinned_level(self, s, d):
+        c, h, stride = base_case(s, d)
+        e_poly, n_poly = error_polys(s, d)
+        # E and N at m + stride, as polynomials in m.
+        e_later, n_later = (compose_affine(poly, stride, 1) for poly in (e_poly, n_poly))
+        p_poly = coeff_difference(
+            coeff_product(e_poly, coeff_product([stride, 1], n_later)),
+            coeff_product(e_later, coeff_product([0, 1], n_poly)),
+        )
+        assert len(p_poly) - 1 == 2 * s + 2 and p_poly[-1] > 0
+        levels = range(stride, 100 * stride, stride)
+        m0 = next((m for m in levels if not sign_changes(compose_affine(p_poly, m, stride))), None)
+        assert m0 is not None, f"ps:{s}:{d} has no certificate below m = {levels.stop}"
+        assert naive_eval(p_poly, m0) > 0
+        assert m0 == self.START[s, d]
+
+        a = coefficient_a(s + 1, c.r)
+        errors = [a_m(c, h, m) - a for m in range(stride, m0 + 2 * stride, stride)]
+        for m, e, e_next in zip(range(stride, m0 + stride, stride), errors, errors[1:]):
+            assert (naive_eval(p_poly, m) > 0) == (e > e_next)
+        if m0 > stride:
+            assert abs(errors[-3]) <= abs(errors[-2])
 
 
 class TestConvergenceTable:

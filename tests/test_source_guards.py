@@ -6,6 +6,9 @@
   speed-up must come from less work per call, not from reusing earlier calls.
 - The package is stdlib-only: every absolute import, function-local ones
   included, names a standard-library module.
+- Every fixed mutant of ``tests/mutation_check.py`` still applies: its module
+  exists and its old text occurs there exactly once.  That check runs the
+  test suite once per mutant; this guard reads the source in milliseconds.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+
+import mutation_check
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fanoblowup"
 MEMOIZERS = {"cache", "lru_cache", "cached_property"}
@@ -64,3 +69,8 @@ def test_imports_only_the_standard_library():
             top = [name.partition(".")[0] for name in names]
             foreign += [f"{module}.py:{node.lineno} {name}" for name in top if name not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_every_mutant_still_applies():
+    stale = [f"{mutant.key} {reason}" for mutant in mutation_check.MUTANTS if (reason := mutation_check.stale(mutant, SRC))]
+    assert stale == []
