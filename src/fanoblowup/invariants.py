@@ -48,15 +48,16 @@ def vol_y(c: Construction) -> Fraction:
     return value(0)
 
 
-def s_invariant(c: Construction, d: HorizontalDivisor) -> Fraction:
-    """Exact S_Y(D): the integral of the piecewise volume profile, divided by
-    its value vol(-K_Y) at t = 0.
-    """
+def _profile_integrals(c: Construction, d: HorizontalDivisor) -> tuple[Fraction, list[Fraction]]:
+    """vol(-K_Y - t D) at t = 0, which is vol(-K_Y), and its integral over each Zariski segment."""
     profile = volume_profile(c, d)
-    total = Fraction(0)
-    for lo, hi, poly in profile:
-        total += poly.integrate(lo, hi)
-    return total / profile[0][2](0)
+    return profile[0][2](0), [poly.integrate(lo, hi) for lo, hi, poly in profile]
+
+
+def s_invariant(c: Construction, d: HorizontalDivisor) -> Fraction:
+    """Exact S_Y(D): the volume profile's integral over its value vol(-K_Y) at t = 0."""
+    vol, integrals = _profile_integrals(c, d)
+    return sum(integrals) / vol
 
 
 def beta(c: Construction, d: HorizontalDivisor) -> Fraction:
@@ -149,22 +150,28 @@ class InvariantReport(NamedTuple):
 
 
 def report(c: Construction) -> InvariantReport:
-    """Compute the full invariant report for one construction.
+    """The full invariant report of c, in one pass over the profiles of V_0 and Vbar_inf.
 
-    vol_y and each S are computed once, and the classification is decided
-    from the exact signs of the computed betas, never by a precomputed rule.
-    At l = 2 both betas must vanish (Futaki vanishing) and Y reduces to the
-    pair (V, aB); otherwise the betas must sum to zero and exactly one must
-    be strictly negative, and that divisor destabilizes Y.  Any of these
-    claims failing raises InvariantViolation.
+    vol_y is the profiles' shared value at t = 0, each S a profile's integral
+    over vol_y, and the verdict follows the exact signs of the betas.  At
+    l = 2 both betas must vanish (Futaki vanishing) and Y reduces to (V, aB),
+    a being Vbar_inf's [1, 2] integral over vol_y.  There the ladder base of
+    P = (2-t) V_0 + ((r+1-t)/r) A is (r-1)/r for every t, so with u = r+1-t
+    the volume is vol(V) r^(1-n) (u^n - (r-1)^n), vol_y is 2 vol(V) r^(1-n) n
+    times int u^(n-1) du over [r-1, r], and d/du u^n (u-r) = n u^(n-1) (u-r)
+    + u^n gives coefficient_a's ratio.  Otherwise the betas must sum to zero,
+    and the one strictly negative beta's divisor destabilizes Y.  A failed
+    claim raises InvariantViolation.
     """
-    s_v0 = s_invariant(c, HorizontalDivisor.ZERO_SECTION)
-    s_vinf = s_invariant(c, HorizontalDivisor.INFINITY_SECTION)
+    (vol, v0_parts), (vol_inf, vinf_parts) = (_profile_integrals(c, d) for d in HorizontalDivisor)
+    if vol != vol_inf:
+        raise InvariantViolation(f"the volume profiles disagree at t = 0: {vol} and {vol_inf}")
+    s_v0, s_vinf = sum(v0_parts) / vol, sum(vinf_parts) / vol
     beta_v0, beta_vinf = 1 - s_v0, 1 - s_vinf
     if c.l == 2:
         if beta_v0 or beta_vinf:
             raise InvariantViolation(f"betas do not vanish at l = 2; betas are {beta_v0}, {beta_vinf}")
-        classification = ReducesToPair(coefficient_a(c.n, c.r))
+        classification = ReducesToPair(vinf_parts[1] / vol)
     elif beta_v0 + beta_vinf:
         raise InvariantViolation(f"horizontal betas must sum to zero; betas are {beta_v0}, {beta_vinf}")
     elif beta_v0 < 0:
@@ -173,4 +180,4 @@ def report(c: Construction) -> InvariantReport:
         classification = KUnstable(HorizontalDivisor.INFINITY_SECTION, beta_vinf)
     else:
         raise InvariantViolation(f"no strictly negative beta at l = {c.l}; betas are {beta_v0}, {beta_vinf}")
-    return InvariantReport(vol_y(c), s_v0, s_vinf, classification)
+    return InvariantReport(vol, s_v0, s_vinf, classification)

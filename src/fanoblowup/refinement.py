@@ -60,9 +60,12 @@ class HilbertFunction(NamedTuple):
 
 
 def hilbert_projective_space(s: int, d: int) -> HilbertFunction:
-    """P^s polarized by L = O(d): h(k) = C(kd + s, s), index r = (s+1)/d."""
-    if s < 1 or d < 1:
-        raise ValueError(f"need s >= 1 and d >= 1, got s={s}, d={d}")
+    """P^s polarized by L = O(d): h(k) = C(kd + s, s), index r = (s+1)/d.
+
+    s and d must be ints (a bool is not one), as Construction's n must be.
+    """
+    if type(s) is not int or type(d) is not int or s < 1 or d < 1:
+        raise ValueError(f"need integers s >= 1 and d >= 1, got s={s!r}, d={d!r}")
     return HilbertFunction(
         description=f"P^{s} with L = O({d})",
         dim=s,
@@ -104,7 +107,7 @@ def basis_profile(c: Construction, h: HilbertFunction, m: int) -> BasisProfile:
     if c.l != 2:
         raise ValueError(f"refinement data is only defined at l = 2, got l = {c.l}")
     _check_base(c, h)
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     mr = m * c.r
     if mr.denominator != 1:

@@ -120,14 +120,20 @@ MUTANTS = [
     Mutant("T7", "exactmath.py", r"[-+]?(?=\d|\.\d)", r"[-+]?"),
     Mutant("T8", "exactmath.py", "    except (ValueError, ZeroDivisionError):\n", "    except ValueError:\n"),
     # The verdict: which branch l takes, the beta checks, and which beta a KUnstable carries;
-    # S's divisor vol(-K_Y) and vol_y's degree guard.
+    # the profile kernel's vol(-K_Y) and vol_y's degree guard.
     Mutant("R1", "invariants.py", "    if c.l == 2:\n", "    if c.l != 2:\n"),
     Mutant("R2", "invariants.py", "    elif beta_v0 + beta_vinf:\n", "    elif False:\n"),
     Mutant("R3", "invariants.py", "    elif beta_v0 < 0:\n", "    elif beta_v0 <= 0:\n"),
     Mutant("R4", "invariants.py", "(HorizontalDivisor.ZERO_SECTION, beta_v0)", "(HorizontalDivisor.ZERO_SECTION, beta_vinf)"),
     Mutant("R5", "invariants.py", "(HorizontalDivisor.INFINITY_SECTION, beta_vinf)", "(HorizontalDivisor.INFINITY_SECTION, beta_v0)"),
-    Mutant("R6", "invariants.py", "total / profile[0][2](0)", "total / profile[0][2](1)"),
+    Mutant("R6", "invariants.py", "profile[0][2](0), [poly", "profile[0][2](1), [poly"),
     Mutant("R7", "invariants.py", "    if value.degree > 0:\n", "    if value.degree > 1:\n"),
+    # report()'s one pass: the two profiles must agree at t = 0 (one direction
+    # of the check, and vol_y read from one profile only), and a is the
+    # Vbar_inf profile's [1, 2] integral.
+    Mutant("R8", "invariants.py", "    if vol != vol_inf:\n", "    if vol > vol_inf:\n"),
+    Mutant("R9", "invariants.py", "    if vol != vol_inf:\n", "    if vol != vol:\n"),
+    Mutant("R10", "invariants.py", "ReducesToPair(vinf_parts[1] / vol)", "ReducesToPair(vinf_parts[0] / vol)"),
     # A level's m+1 counts, N_m, its rows' sections and fixed weights, a_m's
     # denominator, the table's distinct sorted levels, and the base check.
     Mutant("M1", "refinement.py", "total = 2 * sum(counts) - counts[0]", "total = 2 * sum(counts)"),
@@ -144,6 +150,10 @@ MUTANTS = [
     Mutant("M11", "refinement.py", "    if mr.denominator != 1:\n", "    if mr.denominator > 2:\n"),
     Mutant("M12", "refinement.py", "    if total <= 0:\n", "    if total < 0:\n"),
     Mutant("M13", "refinement.py", "    if not error:\n", "    if False:\n"),
+    # Sizes and levels are ints, never a float, a Fraction or a bool.
+    Mutant("M14", "refinement.py", "if type(s) is not int or type(d)", "if type(d)"),
+    Mutant("M15", "refinement.py", " or type(d) is not int or s < 1", " or s < 1"),
+    Mutant("M16", "refinement.py", "if type(m) is not int or m < 1:", "if not isinstance(m, int) or m < 1:"),
 ]
 
 

@@ -122,6 +122,66 @@ def closed_form_vol_y(n: int, r: Fraction, l: Fraction, vol_v: Fraction) -> Frac
     return ((r ** n - (r + 1 - l) ** n) / (l - 1) + r ** n - (r - 1) ** n) * vol_v / r ** (n - 1)
 
 
+def _chow_mul(a: dict, b: dict, s: int) -> dict:
+    """Product of two classes of X = P(O + O(d)) over P^s, each a dict
+    {(i, j): c} for c h^i zeta^j, with h^(s+1) = 0 applied."""
+    out: dict = {}
+    for (i, j), u in a.items():
+        for (k, m), v in b.items():
+            if i + k <= s:
+                out[i + k, j + m] = out.get((i + k, j + m), 0) + u * v
+    return out
+
+
+def _chow_sum(*terms) -> dict:
+    """sum c * class over (c, class) pairs."""
+    out: dict = {}
+    for c, cls in terms:
+        for key, v in cls.items():
+            out[key] = out.get(key, 0) + c * v
+    return out
+
+
+def _chow_integral(cls: dict, s: int, d: int) -> Fraction:
+    """Degree of a top-degree class of X: zeta (zeta + d h) = 0 gives
+    zeta^j = (-d h)^(j-1) zeta, and int zeta h^s = 1, int h^(s+1) = 0."""
+    return sum((c * Fraction(-d) ** (j - 1) for (i, j), c in cls.items() if j >= 1 and i + j == s + 1), Fraction(0))
+
+
+def chow_top_power(s: int, d: int, l: Fraction, x, y, z) -> Fraction:
+    """(x V_0 + y Vbar_inf + z A)^n in the Chow ring of Y for V = P^s, L = O(d).
+
+    Y blows up X = P(O + O(d)) along Vinf . pi*B, the complete intersection of
+    D1 = Vinf = zeta + d h and D2 = pi*B = l d h.  Its ring is generated by h,
+    zeta = [V_0] and e = [E], with h^(s+1) = 0, zeta (zeta + d h) = 0 and
+    (D1 - e)(D2 - e) = 0: the strict transforms of Vinf and pi*B are disjoint
+    (Fulton, Intersection Theory, ch. 6).  So e^2 = sigma e - rho with
+    sigma = D1 + D2, rho = D1 D2, and e^j = P_j e + Q_j where
+    P_{j+1} = sigma P_j + Q_j and Q_{j+1} = -rho P_j.  Since E maps onto a
+    codimension-2 center, int e . pi*alpha = 0, so only Q_j integrates.
+    The classes are V_0 = zeta, Vbar_inf = D1 - e and A = (s+1) h, which
+    makes n = s+1, vol(V) = (s+1)^s and r = (s+1)/d.  No library code and no
+    monomial rule of geometry.py is used.
+    """
+    n, l = s + 1, Fraction(l)
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    one, h, zeta = {(0, 0): Fraction(1)}, {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
+    d1, d2 = _chow_sum((1, zeta), (d, h)), _chow_sum((l * d, h))
+    sigma, rho = _chow_sum((1, d1), (1, d2)), _chow_mul(d1, d2, s)
+    # x V_0 + y Vbar_inf + z A = pi*(base) - y e.
+    base = _chow_sum((x + y, zeta), (y * d + z * (s + 1), h))
+    p, q = {}, one
+    qs, base_powers = [one], [one]
+    for _ in range(n):
+        p, q = _chow_sum((1, _chow_mul(sigma, p, s)), (1, q)), _chow_sum((-1, _chow_mul(rho, p, s)))
+        qs.append(q)
+        base_powers.append(_chow_mul(base_powers[-1], base, s))
+    return sum(
+        (binom_int(n, j) * (-y) ** j * _chow_integral(_chow_mul(qs[j], base_powers[n - j], s), s, d) for j in range(n + 1)),
+        Fraction(0),
+    )
+
+
 def coefficient_a_closed_form(n: int, r: Fraction) -> Fraction:
     """The paper's closed form of the l = 2 pair coefficient,
 

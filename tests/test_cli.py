@@ -101,7 +101,7 @@ class TestInvariants:
         assert "l must satisfy" in err
 
     def test_invariant_violation_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(invariants, "s_invariant", lambda c, d: 1 + Fraction(1, 10 ** 30))
+        monkeypatch.setattr(invariants, "_profile_integrals", lambda c, d: (1, [1 + Fraction(1, 10 ** 30), 0]))
         code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "2")
         assert (code, out) == (3, "")
         assert err.startswith("internal error: betas do not vanish at l = 2")
@@ -115,7 +115,7 @@ class TestInvariants:
 
     def test_unbalanced_betas_exit_3(self, capsys, monkeypatch):
         s_values = {HorizontalDivisor.ZERO_SECTION: Fraction(11, 10), HorizontalDivisor.INFINITY_SECTION: Fraction(19, 20)}
-        monkeypatch.setattr(invariants, "s_invariant", lambda c, d: s_values[d])
+        monkeypatch.setattr(invariants, "_profile_integrals", lambda c, d: (1, [s_values[d], 0]))
         code, out, err = run(capsys, "invariants", "--dim", "3", "--index", "2", "--l", "1/2")
         assert (code, out) == (3, "")
         assert err.startswith("internal error: horizontal betas must sum to zero")

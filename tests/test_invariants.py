@@ -40,6 +40,12 @@ ZS = HorizontalDivisor.ZERO_SECTION
 IS = HorizontalDivisor.INFINITY_SECTION
 
 
+def with_s_values(monkeypatch, s_values):
+    """Make each profile read vol(-K_Y) = 1 and integrate to its divisor's S in
+    s_values on [0, 1] and to 0 on [1, 2], for report() and s_invariant alike."""
+    monkeypatch.setattr(invariants, "_profile_integrals", lambda c, d: (Fraction(1), [s_values[d], Fraction(0)]))
+
+
 def wide_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     """A rational strictly inside (lo, hi), hi <= 4, with a 62-bit denominator
     and a numerator of up to 64 bits."""
@@ -155,7 +161,7 @@ class TestFutakiCheck:
 
     def test_nonvanishing_beta_at_l2_raises(self, monkeypatch):
         # Both betas at -1/10**30 sum to nonzero too; the l = 2 check must fire first.
-        monkeypatch.setattr(invariants, "s_invariant", lambda c, d: 1 + Fraction(1, 10 ** 30))
+        with_s_values(monkeypatch, dict.fromkeys((ZS, IS), 1 + Fraction(1, 10 ** 30)))
         c = Construction(3, 2, 2, 8)
         with pytest.raises(ArithmeticError, match="l = 2"):
             report(c)
@@ -212,13 +218,13 @@ class TestReport:
     def test_unbalanced_betas_raise_invariant_violation(self, monkeypatch):
         # report() is the one place that checks the betas.
         s_values = {ZS: Fraction(11, 10), IS: Fraction(19, 20)}
-        monkeypatch.setattr(invariants, "s_invariant", lambda c, d: s_values[d])
+        with_s_values(monkeypatch, s_values)
         with pytest.raises(InvariantViolation, match="betas must sum to zero; betas are -1/10, 1/20"):
             report(Construction(3, 2, Fraction(1, 2)))
 
     def test_no_negative_beta_raises_invariant_violation(self, monkeypatch):
         # Both betas zero away from l = 2: they sum to zero, yet neither destabilizes.
-        monkeypatch.setattr(invariants, "s_invariant", lambda c, d: Fraction(1))
+        with_s_values(monkeypatch, dict.fromkeys((ZS, IS), Fraction(1)))
         with pytest.raises(InvariantViolation, match="^no strictly negative beta at l = 1/2; betas are 0, 0$"):
             report(Construction(3, 2, Fraction(1, 2)))
 
@@ -257,7 +263,8 @@ class TestClassificationFields:
 class TestReportWork:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Calls of top_power, s_invariant, vol_y and Poly.__pow__, by name."""
+        """Calls of top_power, s_invariant, vol_y, coefficient_a, Poly.__pow__
+        and Poly.integrate, by name."""
         counts = Counter()
 
         def counting(name, fn):
@@ -269,20 +276,24 @@ class TestReportWork:
         top = counting("top_power", geometry.top_power)
         for module in (geometry, nef, invariants):
             monkeypatch.setattr(module, "top_power", top)
-        for name in ("s_invariant", "vol_y"):
+        for name in ("s_invariant", "vol_y", "coefficient_a"):
             monkeypatch.setattr(invariants, name, counting(name, getattr(invariants, name)))
         monkeypatch.setattr(Poly, "__pow__", counting("poly_pow", Poly.__pow__))
+        monkeypatch.setattr(Poly, "integrate", counting("integrate", Poly.integrate))
         return counts
 
     @pytest.mark.parametrize("l", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2)])
     def test_one_vol_y_and_each_s_once(self, counts, l):
+        # One pass over two profiles: two segment volumes and two segment
+        # integrals each.  vol_y is read off both at t = 0, each S is their sum
+        # and a at l = 2 is a segment integral, so report() calls none of
+        # s_invariant, vol_y and coefficient_a.  Each two-ladder class raises
+        # three powers (z^n, or z^(n-1) at l = 1, and one per ladder).  Each
+        # [1, 2] positive part has one zero ladder, and at l = 1 the V_0
+        # segment's lone n y z^(n-1) needs no z^n.
         report(Construction(4, Fraction(5, 2), l, Fraction(5)))
-        # vol_y once, then two segment volumes for each of the two S invariants.
-        # Each two-ladder class raises three powers (z^n, or z^(n-1) at l = 1,
-        # and one per ladder).  Each [1, 2] positive part has one zero ladder,
-        # and at l = 1 the V_0 segment's lone n y z^(n-1) needs no z^n.
-        powers = 12 if l == 1 else 13
-        assert counts == {"top_power": 5, "s_invariant": 2, "vol_y": 1, "poly_pow": powers}
+        powers = 9 if l == 1 else 10
+        assert counts == {"top_power": 4, "poly_pow": powers, "integrate": 4}
 
     @pytest.mark.parametrize("l", [Fraction(0), Fraction(1), Fraction(2)])
     def test_lone_s_invariant_computes_no_vol_y(self, counts, l):
@@ -292,6 +303,43 @@ class TestReportWork:
             counts.clear()
             invariants.s_invariant(Construction(4, Fraction(5, 2), l, Fraction(5)), d)
             assert (counts["top_power"], counts["vol_y"]) == (2, 0)
+
+
+class TestReportOnePass:
+    """report() reads vol_y, both S and a off the two volume profiles."""
+
+    @pytest.mark.parametrize("doubled", [ZS, IS])
+    def test_profiles_disagreeing_at_zero_raise(self, monkeypatch, doubled):
+        # Doubling one profile leaves its S unchanged, so only the t = 0 check can fire.
+        real = invariants.volume_profile
+
+        def profile(c, d):
+            return [(lo, hi, 2 * poly if d is doubled else poly) for lo, hi, poly in real(c, d)]
+
+        c = Construction(3, 2, Fraction(1, 2), 8)
+        s_before = s_invariant(c, doubled)
+        monkeypatch.setattr(invariants, "volume_profile", profile)
+        assert s_invariant(c, doubled) == s_before
+        with pytest.raises(InvariantViolation, match="volume profiles disagree at t = 0"):
+            report(c)
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_a_is_the_vbar_inf_tail_at_l2(self, n):
+        rng = random.Random(22 * n)
+        r_24bit = 1 + Fraction(rng.randrange(1, 1 << 24), rng.randrange(1 << 23, 1 << 24))
+        for r in [Fraction(3, 2), Fraction(3), r_24bit]:
+            vol_v = Fraction(rng.getrandbits(24) + 1, rng.getrandbits(24) + 1)
+            rep = report(Construction(n, r, 2, vol_v))
+            assert rep.classification.a == coefficient_a(n, r) == coefficient_a_closed_form(n, r)
+            assert rep.vol_y == vol_y(Construction(n, r, 2, vol_v))
+
+    def test_tail_is_not_a_away_from_l2(self):
+        # The tail identity holds because at l = 2 the [1, 2] ladder base is
+        # constant in t; at l = 3/2 the same read gives another number.
+        c = Construction(4, Fraction(5, 2), Fraction(3, 2))
+        _, (lo, hi, tail) = nef.volume_profile(c, IS)
+        assert tail.integrate(lo, hi) / vol_y(c) == Fraction(518, 3205)
+        assert coefficient_a(4, Fraction(5, 2)) == Fraction(259, 1360)
 
 
 class TestVolY:

@@ -65,6 +65,23 @@ class TestHilbertProjectiveSpace:
         with pytest.raises(ValueError):
             P2(-1)
 
+    # Sizes are ints, as Construction's n is: not a float, a Fraction or a bool.
+    def test_refuses_float_size(self):
+        with pytest.raises(ValueError, match="need integers s >= 1 and d >= 1, got s=2.0, d=1"):
+            hilbert_projective_space(2.0, 1)
+
+    def test_refuses_fraction_size(self):
+        with pytest.raises(ValueError, match="need integers"):
+            hilbert_projective_space(Fraction(2), 1)
+        with pytest.raises(ValueError, match="need integers"):
+            hilbert_projective_space(2, Fraction(1))
+
+    def test_refuses_bool_size(self):
+        with pytest.raises(ValueError, match="got s=True, d=1"):
+            hilbert_projective_space(True, 1)
+        with pytest.raises(ValueError, match="got s=2, d=True"):
+            hilbert_projective_space(2, True)
+
 
 class TestBasisProfile:
     def test_m1_rows(self):
@@ -116,6 +133,13 @@ class TestBasisProfile:
     def test_rejects_nonpositive_m(self):
         with pytest.raises(ValueError):
             basis_profile(C33, P2, 0)
+
+    def test_rejects_bool_m(self):
+        # True == 1, but a level is an int, not a bool.
+        with pytest.raises(ValueError, match="m must be a positive integer, got True"):
+            a_m(C33, P2, True)
+        with pytest.raises(ValueError, match="got 2.0"):
+            a_m(C33, P2, 2.0)
 
     def test_no_sections_raises_invariant_violation(self):
         # An explicit check, not an assert: the suite also runs under python -O.
@@ -374,6 +398,10 @@ class TestConvergenceTable:
         h = hilbert_projective_space(2, 2)
         with pytest.raises(ValueError, match="multiples of 2"):
             convergence_table(c, h, [2, 3])
+
+    def test_refuses_bool_level(self):
+        with pytest.raises(ValueError, match="m must be a positive integer, got True"):
+            convergence_table(C33, P2, [True, 2])
 
     def test_value_at_the_limit_raises_invariant_violation(self, monkeypatch):
         monkeypatch.setattr(refinement, "coefficient_a", lambda n, r: a_m(C33, P2, 2))

@@ -9,6 +9,11 @@
 - Every fixed mutant of ``tests/mutation_check.py`` still applies: its module
   exists and its old text occurs there exactly once.  That check runs the
   test suite once per mutant; this guard reads the source in milliseconds.
+- Every name the benchmark patches is still bound where it patches it:
+  ``LIBRARY_SPANS`` in ``bench/tracing.py`` (read as a literal, not run), the
+  ``Poly`` and ``HilbertFunction`` methods it wraps on the class, and the two
+  names ``bench/cli_child.py`` times.  A dropped import would otherwise show
+  only in a traced benchmark run.
 """
 
 from __future__ import annotations
@@ -19,7 +24,11 @@ from pathlib import Path
 
 import mutation_check
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fanoblowup"
+import fanoblowup
+from fanoblowup import catalog, cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fanoblowup"
 MEMOIZERS = {"cache", "lru_cache", "cached_property"}
 
 
@@ -74,3 +83,36 @@ def test_imports_only_the_standard_library():
 def test_every_mutant_still_applies():
     stale = [f"{mutant.key} {reason}" for mutant in mutation_check.MUTANTS if (reason := mutation_check.stale(mutant, SRC))]
     assert stale == []
+
+
+def _library_spans() -> list:
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    (value,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "LIBRARY_SPANS" for t in node.targets)
+    ]
+    return ast.literal_eval(value)
+
+
+def test_traced_functions_are_bound_where_patched():
+    spans = _library_spans()
+    missing = [
+        f"{where or 'fanoblowup'}.{func}"
+        for _, home, func, others in spans
+        for where in [home, *others]
+        if func not in vars(getattr(fanoblowup, where) if where else fanoblowup)
+    ]
+    assert spans and missing == []
+
+
+def test_traced_methods_are_defined_on_their_class():
+    methods = {
+        fanoblowup.Poly: ["__mul__", "__rmul__", "__pow__", "__init__", "integrate"],
+        fanoblowup.HilbertFunction: ["__call__"],
+    }
+    assert [f"{owner.__name__}.{name}" for owner, names in methods.items() for name in names if name not in vars(owner)] == []
+
+
+def test_cli_child_names_are_bound():
+    # bench/cli_child.py times cli.load_catalog and catalog.report by rebinding them.
+    assert "load_catalog" in vars(cli) and "report" in vars(catalog)
