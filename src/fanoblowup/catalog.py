@@ -20,7 +20,7 @@ entry may set: l = 2 reduces to a pair, so only ``expect_a``, and any other
 l is K-unstable, so only ``expect_destabilizer``; the other key is refused
 at load.  Entries without expectations are report-only.  Rationals are read
 by ``exactmath.as_rational``, with at most MAX_BITS bits above and below the
-line, and ``n`` refuses ``_`` too.  A ``;`` after a value starts a comment.
+line, and ``n`` by ``parse_integer``.  A ``;`` after a value starts a comment.
 ``[DEFAULT]`` is refused: INI readers merge its keys into every other section.
 """
 
@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .exactmath import _refuse_separators, as_rational
+from .exactmath import as_rational, parse_integer
 from .geometry import Construction
 from .invariants import InvariantReport, classification_fields, classification_text, report
 from .nef import HorizontalDivisor
@@ -42,7 +42,6 @@ __all__ = [
     "CatalogError",
     "CatalogEntry",
     "EntryResult",
-    "parse_integer",
     "bounded_dim",
     "bounded_rational",
     "default_catalog_path",
@@ -77,15 +76,6 @@ class EntryResult(NamedTuple):
     report: InvariantReport
     passed: bool
     detail: str
-
-
-def parse_integer(text: str, name: str) -> int:
-    """The integer written in text; ValueError naming ``name`` for other text."""
-    _refuse_separators(text)
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def bounded_dim(text: str) -> int:

@@ -31,9 +31,9 @@ from .catalog import (
     bounded_rational,
     default_catalog_path,
     load_catalog,
-    parse_integer,
     run_catalog,
 )
+from .exactmath import parse_integer
 from .geometry import Construction
 from .invariants import InvariantReport, classification_fields, classification_text, coefficient_a, report
 from .refinement import HilbertFunction, convergence_table, hilbert_projective_space

@@ -6,12 +6,14 @@ tuples over those rationals, in the single variable ``t`` used by the Zariski
 decompositions; they support exact ring arithmetic, Horner evaluation and
 exact definite integration.  Evaluation and integration run on plain integers
 over one common denominator and normalize once, into a single Fraction.  No
-floating point enters anywhere in this module.
+floating point enters anywhere in this module.  It also holds the one grammar
+of numbers written as text: as_rational and parse_integer read it.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -19,7 +21,7 @@ from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
-__all__ = ["RationalLike", "InvariantViolation", "as_rational", "Poly", "ZERO", "ONE"]
+__all__ = ["RationalLike", "InvariantViolation", "as_rational", "parse_integer", "Poly", "ZERO", "ONE"]
 
 
 class InvariantViolation(ArithmeticError):
@@ -32,12 +34,17 @@ class InvariantViolation(ArithmeticError):
 
 # The text that Fraction reads with an exponent, which it expands: "1e999999999" is 10**999999999.
 _EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:\.\d*)?e[-+]?\d+\s*", re.IGNORECASE)
+_DIGITS = re.compile(r"\d+")
 
 
-def _refuse_separators(text: str) -> None:
+def _refuse_digits(text: str) -> None:
     # int accepts "3_0" and Fraction does from Python 3.11 on; refused on all.
     if "_" in text:
         raise ValueError(f"digit separators '_' are not accepted, got {text!r}")
+    # int refuses a longer run of digits (0, or no such function before Python 3.10.7: no limit).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(map(len, _DIGITS.findall(text)), default=0) > limit:
+        raise ValueError(f"numbers are limited to {limit} digits, got {len(text)} characters starting {text[:24]!r}")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -56,13 +63,22 @@ def as_rational(value: RationalLike) -> Fraction:
         raise TypeError(f"refusing {type(value).__name__} {value!r}; pass an exact rational (int, Fraction, or 'p/q')")
     if not isinstance(value, str):
         return Fraction(value)
-    _refuse_separators(value)
+    _refuse_digits(value)
     if _EXPONENT.fullmatch(value):
         raise ValueError(f"exponent notation is not accepted, got {value!r}; write an integer or p/q")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"expected a rational like 7 or 3/2, got {value!r}") from None
+
+
+def parse_integer(text: str, name: str) -> int:
+    """The integer written in text; ValueError naming ``name`` for other text."""
+    _refuse_digits(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _horner(pairs: Iterable[tuple[int, int]], a: int, b: int) -> tuple[int, int]:
@@ -145,14 +161,10 @@ class Poly:
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
         a, b = self._coeffs, other._coeffs if isinstance(other, Poly) else (other,)
-        if len(a) == 1:
-            a, b = b, a
         if len(b) == 1:
-            # A constant factor scales the other operand in one pass.
+            # A constant right factor, a scalar included, scales the left one in one pass.
             k = b[0]
             return Poly([k * c for c in a]) if k else ZERO
-        if not a or not b:
-            return ZERO
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         if other is self:
             # A square by symmetry: each cross product a_i a_j (i < j) once, doubled.
@@ -170,7 +182,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError(f"polynomial exponent must be a nonnegative integer, got {exponent!r}")
         if self.degree < 1:
             # A constant base, zero included, is one rational power (0 ** 0 == 1).

@@ -49,7 +49,7 @@ class Construction(_ConstructionFields):
     __slots__ = ()
 
     def __new__(cls, n: int, r: RationalLike, l: RationalLike, vol_v: RationalLike = 1) -> "Construction":
-        if not isinstance(n, int) or n < 2:
+        if type(n) is not int or n < 2:
             raise ValueError(f"n must be an integer >= 2, got {n!r}")
         r, l, vol_v = as_rational(r), as_rational(l), as_rational(vol_v)
         if r <= 1:

@@ -66,6 +66,7 @@ MUTANTS = [
     ),
     Mutant("P2", "exactmath.py", "            if e & 1:\n", "            if not e & 1:\n"),
     Mutant("P3", "exactmath.py", "            e >>= 1\n", "            e >>= 2\n"),
+    Mutant("P4", "exactmath.py", "if type(exponent) is not int or", "if not isinstance(exponent, int) or"),
     Mutant("S1", "exactmath.py", "                twice = 2 * ca\n", "                twice = ca\n"),
     Mutant("S2", "exactmath.py", "for j in range(i + 1, len(a)):", "for j in range(i, len(a)):"),
     Mutant(
@@ -119,6 +120,19 @@ MUTANTS = [
     Mutant("T6", "exactmath.py", r"(?=\d|\.\d)\d*", r"(?=\d|\.\d)[0-9]*"),
     Mutant("T7", "exactmath.py", r"[-+]?(?=\d|\.\d)", r"[-+]?"),
     Mutant("T8", "exactmath.py", "    except (ValueError, ZeroDivisionError):\n", "    except ValueError:\n"),
+    # parse_integer: its "_" and length refusal, int's reading, and the refusal naming the flag.
+    Mutant("T9", "exactmath.py", "    _refuse_digits(text)\n    try:\n", "    try:\n"),
+    Mutant("T10", "exactmath.py", "        return int(text)\n", "        return int(text, 0)\n"),
+    Mutant("T11", "exactmath.py", "    except ValueError:\n        raise ValueError(f\"{name}", "    except TypeError:\n        raise ValueError(f\"{name}"),
+    # A digit run longer than int converts: the refusal, its bound, the test of
+    # each run, the clipped echo, the limit of an older Python, and Unicode digits.
+    Mutant("L1", "exactmath.py", "    if limit and max(", "    if False and max("),
+    Mutant("L2", "exactmath.py", "default=0) > limit:", "default=0) > limit + 1:"),
+    Mutant("L3", "exactmath.py", "default=0) > limit:", "default=0) >= limit:"),
+    Mutant("L4", "exactmath.py", "max(map(len, _DIGITS.findall(text)), default=0)", "len(text)"),
+    Mutant("L5", "exactmath.py", "starting {text[:24]!r}", "starting {text!r}"),
+    Mutant("L6", "exactmath.py", '"get_int_max_str_digits", lambda: 0)', '"get_int_max_str_digits", lambda: 1)'),
+    Mutant("L7", "exactmath.py", r'_DIGITS = re.compile(r"\d+")', r'_DIGITS = re.compile(r"[0-9]+")'),
     # The verdict: which branch l takes, the beta checks, and which beta a KUnstable carries;
     # the profile kernel's vol(-K_Y) and vol_y's degree guard.
     Mutant("R1", "invariants.py", "    if c.l == 2:\n", "    if c.l != 2:\n"),

@@ -182,6 +182,41 @@ def chow_top_power(s: int, d: int, l: Fraction, x, y, z) -> Fraction:
     )
 
 
+def projective_bases():
+    """Every V = P^s, s <= 7, with L = O(d), r = (s+1)/d > 1, and every
+    l = k/d in (0, r+1): B is then a hypersurface of degree k."""
+    for s in range(1, 8):
+        for d in range(1, s + 1):
+            for k in range(1, s + d + 1):
+                yield s, d, Fraction(k, d)
+
+
+def projective_construction(s: int, d: int, l: Fraction) -> Construction:
+    """The construction of chow_top_power's Y: n = s+1, r = (s+1)/d, vol(V) = (s+1)^s."""
+    return Construction(s + 1, Fraction(s + 1, d), l, (s + 1) ** s)
+
+
+def chow_curve_number(s: int, d: int, l: Fraction, first, second) -> Fraction:
+    """first . second . A^(n-2) in the Chow ring of chow_top_power's Y, each
+    class given by its coordinates (v0, vinf, a, e) on V_0, Vbar_inf, A and E.
+
+    A class is pi*(alpha) + c e, with V_0 = zeta, Vbar_inf = D1 - e and
+    A = (s+1) h.  In the product, int e . pi*beta = 0 and e^2 = sigma e - rho
+    leave int alpha alpha' A^(n-2) - c c' int rho A^(n-2).
+    """
+    l = Fraction(l)
+    h, zeta = {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
+
+    def split(v0, vinf, a, e):
+        return _chow_sum((v0 + vinf, zeta), (vinf * d + a * (s + 1), h)), e - vinf
+
+    (alpha, c), (beta, c2) = split(*first), split(*second)
+    rho = _chow_mul(_chow_sum((1, zeta), (d, h)), _chow_sum((l * d, h)), s)
+    a_power = {(s - 1, 0): Fraction(s + 1) ** (s - 1)}
+    pulled_back = _chow_sum((1, _chow_mul(alpha, beta, s)), (-c * c2, rho))
+    return _chow_integral(_chow_mul(pulled_back, a_power, s), s, d)
+
+
 def coefficient_a_closed_form(n: int, r: Fraction) -> Fraction:
     """The paper's closed form of the l = 2 pair coefficient,
 

@@ -43,6 +43,14 @@ def with_unknown_classification(monkeypatch, owner):
 
 
 TOO_WIDE = f"{2 ** MAX_BITS + 1}/{2 ** MAX_BITS}"
+# int converts a run of at most this many digits (0: any number; no limit before Python 3.10.7).
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVER_LONG = "9" * 5000
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts digit runs of any length")
+
+
+def over_long_refusal(text: str) -> str:
+    return f"numbers are limited to {DIGIT_LIMIT} digits, got {len(text)} characters starting {text[:24]!r}"
 
 
 class TestCoeff:
@@ -315,6 +323,7 @@ class TestCatalog:
             ("n", "3_0", "digit separators '_' are not accepted, got '3_0'"),
             ("n", "3.0", "n must be an integer, got '3.0'"),
             ("r", "three", "expected a rational like 7 or 3/2, got 'three'"),
+            pytest.param("n", OVER_LONG, over_long_refusal(OVER_LONG), marks=needs_digit_limit, id="n-over-long"),
         ],
     )
     def test_bounds_exit_2(self, tmp_path, capsys, monkeypatch, key, value, reason):
@@ -432,6 +441,15 @@ class TestBounds:
                     ("1.e2", "exponent notation is not accepted"),
                     ("\u0661e1", "exponent notation is not accepted"),
                     ("three", "expected a rational like 7 or 3/2, got 'three'"),
+                ]
+            ),
+            *(
+                pytest.param(argv, over_long_refusal(text), marks=needs_digit_limit, id=f"{flag}-over-long")
+                for flag, argv, text in [
+                    ("dim", ["coeff", "--dim", OVER_LONG, "--index", "2"], OVER_LONG),
+                    ("index", ["coeff", "--dim", "3", "--index", OVER_LONG], OVER_LONG),
+                    ("l", ["invariants", "--dim", "3", "--index", "2", "--l", f"1/{OVER_LONG}"], f"1/{OVER_LONG}"),
+                    ("m", REFINE + ["--m", f"1,{OVER_LONG}"], OVER_LONG),
                 ]
             ),
         ],

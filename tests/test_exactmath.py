@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
-from fanoblowup import ONE, ZERO, Construction, Poly, as_rational, hilbert_projective_space
+from fanoblowup import ONE, ZERO, Construction, Poly, as_rational, hilbert_projective_space, parse_integer
 
 from oracles import binom_int, coeff_difference, coeff_product, naive_eval, naive_integral
 
@@ -118,6 +119,68 @@ class TestRationalText:
             as_rational(text)
 
 
+class TestIntegerText:
+    """Integer text is read by parse_integer, under the same "_" and length rules."""
+
+    def test_reads_what_int_reads(self):
+        assert [parse_integer(text, "m") for text in ("7", " -3 ", "010", "+0")] == [7, -3, 10, 0]
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("1_0", "digit separators '_' are not accepted, got '1_0'"),
+            ("x", "m must be an integer, got 'x'"),
+            ("3.0", "m must be an integer, got '3.0'"),
+            ("0x10", "m must be an integer, got '0x10'"),
+            ("", "m must be an integer, got ''"),
+        ],
+    )
+    def test_refusals(self, text, reason):
+        with pytest.raises(ValueError) as refused:
+            parse_integer(text, "m")
+        assert str(refused.value) == reason
+
+
+# int converts a run of at most this many digits (0: any number; no limit before Python 3.10.7).
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_limit = pytest.mark.skipif(not LIMIT, reason="this Python converts digit runs of any length")
+
+
+class TestOverLongText:
+    """A digit run longer than int converts is refused by both readers for its
+    length, naming the limit and echoing only the text's first 24 characters."""
+
+    @needs_limit
+    @pytest.mark.parametrize(
+        "text",
+        ["9" * (LIMIT + 1), " -" + "9" * 5000, "1/" + "7" * (LIMIT + 1), "1." + "0" * (LIMIT + 1), "\u0661" * (LIMIT + 1)],
+        ids=["integer", "signed", "denominator", "decimal", "non-ascii"],
+    )
+    def test_refused_by_both_readers(self, text):
+        for read in (as_rational, lambda t: parse_integer(t, "n")):
+            with pytest.raises(ValueError) as refused:
+                read(text)
+            message = str(refused.value)
+            assert message == f"numbers are limited to {LIMIT} digits, got {len(text)} characters starting {text[:24]!r}"
+
+    @needs_limit
+    def test_runs_at_the_limit_are_read(self):
+        run, sevens = "9" * LIMIT, "7" * LIMIT
+        assert as_rational(run) == parse_integer(run, "n") == 10 ** LIMIT - 1
+        # Text longer than the limit, but no run in it is.
+        assert as_rational(f"{run}/{sevens}") == Fraction(10 ** LIMIT - 1, int(sevens))
+        assert as_rational(" " * LIMIT + "7") == parse_integer(" " * LIMIT + "7", "n") == 7
+
+    def test_limit_is_read_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5, raising=False)
+        with pytest.raises(ValueError, match="^numbers are limited to 5 digits, got 6 characters starting '123456'$"):
+            as_rational("123456")
+        assert as_rational("12345") == 12345
+        # Before Python 3.10.7 there is no limit, and no such function.
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert as_rational("123456") == parse_integer("123456", "n") == 123456
+
+
 class TestPolyBasics:
     def test_trailing_zeros_stripped(self):
         assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
@@ -164,10 +227,10 @@ class TestPolyBasics:
         assert (Poly([2, -1]) ** 4)(1) == 1
 
     def test_pow_rejects_negative(self):
-        # Non-integer exponents too; a constant or zero base takes no fast
-        # path around the exponent check.
+        # Non-int exponents too, a bool included; a constant or zero base
+        # takes no fast path around the exponent check.
         for base in (Poly([0, 1]), Poly([2]), ZERO):
-            for exponent in (-1, 1.5):
+            for exponent in (-1, 1.5, True, False, Fraction(2)):
                 with pytest.raises(ValueError):
                     base ** exponent
 

@@ -17,7 +17,15 @@ from fanoblowup import (
     vol_y,
 )
 
-from oracles import admissible_grid, chow_top_power, closed_form_vol_x, closed_form_vol_y, ladder_top_power
+from oracles import (
+    admissible_grid,
+    chow_top_power,
+    closed_form_vol_x,
+    closed_form_vol_y,
+    ladder_top_power,
+    projective_bases,
+    projective_construction,
+)
 
 scalars_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -175,28 +183,15 @@ class TestTopPowerAgainstLadder:
             assert top_power(c, no_both) == Poly()
 
 
-def projective_bases():
-    """Every V = P^s, s <= 7, with L = O(d), r = (s+1)/d > 1, and every
-    l = k/d in (0, r+1): B is then a hypersurface of degree k."""
-    for s in range(1, 8):
-        for d in range(1, s + 1):
-            for k in range(1, s + d + 1):
-                yield s, d, Fraction(k, d)
-
-
 class TestChowRing:
     """The three monomial rules that top_power adopts as axioms agree with the
     Chow ring of the blow-up over P^s (tests/oracles.py::chow_top_power), for
     every s <= 7, every d and every l = k/d > 0."""
 
-    @staticmethod
-    def construction(s: int, d: int, l: Fraction) -> Construction:
-        return Construction(s + 1, Fraction(s + 1, d), l, (s + 1) ** s)
-
     def test_top_power_at_seeded_classes(self):
         rng = random.Random(13)
         for s, d, l in projective_bases():
-            c = self.construction(s, d, l)
+            c = projective_construction(s, d, l)
             for _ in range(3):
                 x, y, z = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3))
                 value = top_power(c, ClassPoly((x, 0), (y, 0), (z, 0)))
@@ -204,7 +199,7 @@ class TestChowRing:
 
     def test_vol_y(self):
         for s, d, l in projective_bases():
-            assert vol_y(self.construction(s, d, l)) == chow_top_power(s, d, l, 1, 1, 1), (s, d, l)
+            assert vol_y(projective_construction(s, d, l)) == chow_top_power(s, d, l, 1, 1, 1), (s, d, l)
 
 
 class TestVolX:

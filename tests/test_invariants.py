@@ -333,6 +333,21 @@ class TestReportOnePass:
             assert rep.classification.a == coefficient_a(n, r) == coefficient_a_closed_form(n, r)
             assert rep.vol_y == vol_y(Construction(n, r, 2, vol_v))
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_tail_equals_a_for_every_r(self, n):
+        # top_power's ladders make both sides, after clearing r^(n-1) and
+        # vol(V), a ratio N(r) / D(r) with deg N <= n and deg D <= n-1:
+        #   report:        the tail int_(r-1)^r (u^n - (r-1)^n) du over
+        #                  vol_y = 2 (r^n - (r-1)^n), with q0 x + z = (r-1)/r;
+        #   coefficient_a: int_(r-1)^r (r u^(n-1) - u^n) du over
+        #                  2 int_(r-1)^r u^(n-1) du = 2 (r^n - (r-1)^n) / n.
+        # Both denominators are positive for r > 1, so the identity is
+        # N D' - N' D = 0, a polynomial of degree <= 2n - 1 in r: holding at
+        # 2n distinct r > 1, it holds at every r.
+        for k in range(1, 2 * n + 1):
+            r = 1 + Fraction(k, 3)
+            assert report(Construction(n, r, 2)).classification.a == coefficient_a(n, r), (n, r)
+
     def test_tail_is_not_a_away_from_l2(self):
         # The tail identity holds because at l = 2 the [1, 2] ladder base is
         # constant in t; at l = 3/2 the same read gives another number.

@@ -18,7 +18,13 @@ from fanoblowup import (
     volume_profile,
 )
 
-from oracles import admissible_grid, ladder_top_power
+from oracles import (
+    admissible_grid,
+    chow_curve_number,
+    ladder_top_power,
+    projective_bases,
+    projective_construction,
+)
 
 ZS = HorizontalDivisor.ZERO_SECTION
 IS = HorizontalDivisor.INFINITY_SECTION
@@ -142,6 +148,54 @@ class TestZariskiOrthogonality:
                     if linear:
                         nonzero.append((n, r, l, d, t, linear))
         assert nonzero == []
+
+
+CURVES = ("A^(n-1)", "V_0", "Vbar_inf", "E", "F")
+
+
+def curve_numbers(c, x, y, z) -> dict:
+    """(x V_0 + y Vbar_inf + z A) . C for the curve C = A^(n-1) and for
+    C = X . A^(n-2) with X = V_0, Vbar_inf, E and F (keyed by X), by the three
+    monomial rules: V_0^2 A^(n-2) = -vol/r, Vbar_inf^2 A^(n-2) = (1-l) vol/r,
+    V_0 A^(n-1) = Vbar_inf A^(n-1) = vol, V_0 Vbar_inf = A^n = 0."""
+    r, l = c.r, c.l
+    values = (x + y, z - x / r, z + (1 - l) * y / r, l * y / r, l * x / r)
+    return {name: c.vol_v * value for name, value in zip(CURVES, values)}
+
+
+def positive_parts(c):
+    """(divisor, segment, t, (x, y, z)) at both ends of every Zariski segment of both divisors."""
+    for d in (ZS, IS):
+        for seg in decompose(c, d):
+            for t in (seg.t_lo, seg.t_hi):
+                yield d, seg, t, tuple(k + u * t for k, u in seg.positive)
+
+
+class TestCurvesCertifyNef:
+    """The positive part of each Zariski segment meets five curves with no
+    negative number, and on [1, 2] it meets the contracted divisor's curve (E for
+    Vbar_inf, F for V_0) in exactly 0 when l > 0: there it contracts that curve."""
+
+    def test_positive_parts_meet_the_curves_nonnegatively(self):
+        negative, uncontracted = [], []
+        for n, r, l in admissible_grid():
+            c = Construction(n, r, l)
+            for d, seg, t, xyz in positive_parts(c):
+                numbers = curve_numbers(c, *xyz)
+                negative += [(n, r, l, d, t, name) for name, value in numbers.items() if value < 0]
+                contracted = "E" if d is IS else "F"
+                if seg.t_lo == 1 and l > 0 and numbers[contracted] != 0:
+                    uncontracted.append((n, r, l, d, t))
+        assert negative == [] and uncontracted == []
+
+    def test_monomial_rules_agree_with_the_chow_ring(self):
+        # The curves' divisors X as coordinates (V_0, Vbar_inf, A, E); F = Vbar_inf + ((l-1)/r) A - V_0.
+        for s, d, l in projective_bases():
+            c = projective_construction(s, d, l)
+            divisors = [(0, 0, 1, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (-1, 1, (l - 1) / c.r, 0)]
+            for _, _, _, (x, y, z) in positive_parts(c):
+                chow = [chow_curve_number(s, d, l, (x, y, z, 0), divisor) for divisor in divisors]
+                assert chow == list(curve_numbers(c, x, y, z).values()), (s, d, l, x, y, z)
 
 
 class TestVolumeProfile:

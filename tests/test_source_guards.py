@@ -6,6 +6,8 @@
   speed-up must come from less work per call, not from reusing earlier calls.
 - The package is stdlib-only: every absolute import, function-local ones
   included, names a standard-library module.
+- No module imports a ``_``-prefixed name from another module of the
+  package: a helper two modules share is public in one of them.
 - Every fixed mutant of ``tests/mutation_check.py`` still applies: its module
   exists and its old text occurs there exactly once.  That check runs the
   test suite once per mutant; this guard reads the source in milliseconds.
@@ -78,6 +80,18 @@ def test_imports_only_the_standard_library():
             top = [name.partition(".")[0] for name in names]
             foreign += [f"{module}.py:{node.lineno} {name}" for name in top if name not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_no_module_imports_a_private_name():
+    private = [
+        f"{module}.py:{node.lineno} {alias.name}"
+        for module, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").partition(".")[0] == "fanoblowup")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_every_mutant_still_applies():
