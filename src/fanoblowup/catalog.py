@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .exactmath import as_rational, parse_integer
+from .exactmath import as_rational, excerpt, parse_integer
 from .geometry import Construction
 from .invariants import InvariantReport, classification_fields, classification_text, report
 from .nef import HorizontalDivisor
@@ -82,7 +82,7 @@ def bounded_dim(text: str) -> int:
     """The integer n written in text; ValueError for other text and above MAX_DIM."""
     n = parse_integer(text, "n")
     if n > MAX_DIM:
-        raise ValueError(f"n is limited to {MAX_DIM}, got {n}")
+        raise ValueError(f"n is limited to {MAX_DIM}, got {excerpt(text)}")
     return n
 
 
@@ -90,7 +90,7 @@ def bounded_rational(text: str) -> Fraction:
     """as_rational(text), with a ValueError also past MAX_BITS bits above or below the line."""
     value = as_rational(text)
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_BITS:
-        raise ValueError(f"numerator and denominator are limited to {MAX_BITS} bits, got {text!r}")
+        raise ValueError(f"numerator and denominator are limited to {MAX_BITS} bits, got {excerpt(text)}")
     return value
 
 
@@ -131,7 +131,7 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
         except ValueError as exc:
             raise CatalogError(
                 f"entry [{name}]: expect_destabilizer must be 'zero-section' or "
-                f"'infinity-section', got {raw!r}"
+                f"'infinity-section', got {excerpt(raw)}"
             ) from exc
     return CatalogEntry(name, construction, expect)
 

@@ -33,7 +33,7 @@ from .catalog import (
     load_catalog,
     run_catalog,
 )
-from .exactmath import parse_integer
+from .exactmath import excerpt, parse_integer
 from .geometry import Construction
 from .invariants import InvariantReport, classification_fields, classification_text, coefficient_a, report
 from .refinement import HilbertFunction, convergence_table, hilbert_projective_space
@@ -66,13 +66,13 @@ def _m_list(text: str) -> list[int]:
     if not values:
         raise ValueError("need at least one m value")
     if sum(map(abs, values)) > MAX_M:
-        raise ValueError(f"the levels are limited to a total of {MAX_M}, got {text!r}")
+        raise ValueError(f"the levels are limited to a total of {MAX_M}, got {excerpt(text)}")
     return values
 
 
 def _base_flag(text: str) -> HilbertFunction:
     kind, *sizes = text.split(":")
-    unknown = f"unknown base {text!r}; supported form: ps:<s>:<d>"
+    unknown = f"unknown base {excerpt(text)}; supported form: ps:<s>:<d>"
     if kind != "ps" or len(sizes) != 2:
         raise ValueError(unknown)
     try:
@@ -164,45 +164,32 @@ def _write(args, document: dict, lines: list[tuple[bool, str]]) -> None:
             print(text)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    # Fresh parser per use: argparse shares parent action objects, and the
-    # subcommand flags must keep SUPPRESS defaults so a global --json/--quiet
-    # placed before the subcommand is not clobbered afterwards.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit one machine-readable JSON document")
-    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
-                        help="suppress non-essential output")
-    return common
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanoblowup",
         description="Exact K-stability invariants for blow-ups of P^1-bundles over Fano varieties.",
-        parents=[_common_flags()],
     )
-    parser.set_defaults(json=False, quiet=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_flags()
+    p_coeff = sub.add_parser("coeff", help="pair coefficient a(n, r)")
+    p_inv = sub.add_parser("invariants", help="full invariant report")
+    p_cat = sub.add_parser("catalog", help="run a catalog of entries")
+    p_ref = sub.add_parser("refine", help="finite-m convergence toward a(n, r); l is fixed at 2")
+    for p in (parser, p_coeff, p_inv, p_cat, p_ref):
+        # A subcommand's flags default to SUPPRESS, so a global --json/--quiet
+        # given before the subcommand is not clobbered by it.
+        default = False if p is parser else argparse.SUPPRESS
+        p.add_argument("--json", action="store_true", default=default, help="emit one machine-readable JSON document")
+        p.add_argument("--quiet", action="store_true", default=default, help="suppress non-essential output")
     rational = _flag(bounded_rational)
-    n_and_r = argparse.ArgumentParser(add_help=False)
-    n_and_r.add_argument("--dim", type=_flag(bounded_dim), required=True, metavar="N", help=f"dimension n of Y, 2 to {MAX_DIM}")
-    n_and_r.add_argument("--index", type=rational, required=True, metavar="R", help="proportionality r > 1, as p/q")
-
-    p_coeff = sub.add_parser("coeff", parents=[common, n_and_r], help="pair coefficient a(n, r)")
+    for p in (p_coeff, p_inv, p_ref):
+        p.add_argument("--dim", type=_flag(bounded_dim), required=True, metavar="N", help=f"dimension n of Y, 2 to {MAX_DIM}")
+        p.add_argument("--index", type=rational, required=True, metavar="R", help="proportionality r > 1, as p/q")
     p_coeff.set_defaults(func=_cmd_coeff)
-
-    p_inv = sub.add_parser("invariants", parents=[common, n_and_r], help="full invariant report")
     p_inv.add_argument("--l", type=rational, required=True, metavar="L", help="branch proportionality, 0 <= l < r+1")
     p_inv.add_argument("--vol-v", type=rational, default=Fraction(1), metavar="V", help="anti-canonical volume of the base (default 1)")
     p_inv.set_defaults(func=_cmd_invariants)
-
-    p_cat = sub.add_parser("catalog", parents=[common], help="run a catalog of entries")
     p_cat.add_argument("path", nargs="?", default=default_catalog_path(), help="catalog file (default: the shipped catalog)")
     p_cat.set_defaults(func=_cmd_catalog)
-
-    p_ref = sub.add_parser("refine", parents=[common, n_and_r], help="finite-m convergence toward a(n, r); l is fixed at 2")
     p_ref.add_argument("--base", type=_flag(_base_flag), required=True, metavar="BASE", help="section counter for V, e.g. ps:2:1 for P^2 with L = O(1)")
     p_ref.add_argument("--m", type=_flag(_m_list), required=True, metavar="MS", help=f"comma-separated refinement levels, total at most {MAX_M}")
     p_ref.set_defaults(func=_cmd_refine)

@@ -7,7 +7,8 @@ decompositions; they support exact ring arithmetic, Horner evaluation and
 exact definite integration.  Evaluation and integration run on plain integers
 over one common denominator and normalize once, into a single Fraction.  No
 floating point enters anywhere in this module.  It also holds the one grammar
-of numbers written as text: as_rational and parse_integer read it.
+of numbers written as text: as_rational and parse_integer read it, and
+excerpt quotes the text a refusal echoes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
-__all__ = ["RationalLike", "InvariantViolation", "as_rational", "parse_integer", "Poly", "ZERO", "ONE"]
+__all__ = ["RationalLike", "InvariantViolation", "as_rational", "parse_integer", "excerpt", "Poly", "ZERO", "ONE"]
 
 
 class InvariantViolation(ArithmeticError):
@@ -37,39 +38,48 @@ _EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:\.\d*)?e[-+]?\d+\s*", re.IGNOR
 _DIGITS = re.compile(r"\d+")
 
 
+def excerpt(text: str) -> str:
+    """text as a refusal quotes it: whole up to 24 characters, else its length and first 24."""
+    if len(text) <= 24:
+        return repr(text)
+    return f"{len(text)} characters starting {text[:24]!r}"
+
+
 def _refuse_digits(text: str) -> None:
     # int accepts "3_0" and Fraction does from Python 3.11 on; refused on all.
     if "_" in text:
-        raise ValueError(f"digit separators '_' are not accepted, got {text!r}")
+        raise ValueError(f"digit separators '_' are not accepted, got {excerpt(text)}")
     # int refuses a longer run of digits (0, or no such function before Python 3.10.7: no limit).
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and max(map(len, _DIGITS.findall(text)), default=0) > limit:
+        # Length is the reason here, so it is stated even for text excerpt would quote whole.
         raise ValueError(f"numbers are limited to {limit} digits, got {len(text)} characters starting {text[:24]!r}")
 
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or text like ``"3/2"`` to an exact Fraction.
 
-    Floats and Decimals are rejected with TypeError: a binary float would
-    smuggle rounding into an exact pipeline, and Fraction expands a Decimal's
-    exponent, so ``Decimal("1e999999999")`` would not return.  An exact
-    Fraction (not a subclass) is returned as it is.  Text is an integer,
-    decimal or p/q on every Python, without ``_`` separators or exponents;
-    other text raises ValueError.
+    Floats, Decimals and bools are rejected with TypeError: a binary float
+    would smuggle rounding into an exact pipeline, Fraction expands a
+    Decimal's exponent, so ``Decimal("1e999999999")`` would not return, and
+    a bool is a flag, not a number.  An exact Fraction (not a subclass) is
+    returned as it is.  Text is an integer, decimal or p/q on every Python,
+    without ``_`` separators or exponents; other text raises ValueError,
+    which quotes it by ``excerpt``.
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, (float, Decimal)):
+    if isinstance(value, (float, Decimal, bool)):
         raise TypeError(f"refusing {type(value).__name__} {value!r}; pass an exact rational (int, Fraction, or 'p/q')")
     if not isinstance(value, str):
         return Fraction(value)
     _refuse_digits(value)
     if _EXPONENT.fullmatch(value):
-        raise ValueError(f"exponent notation is not accepted, got {value!r}; write an integer or p/q")
+        raise ValueError(f"exponent notation is not accepted, got {excerpt(value)}; write an integer or p/q")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a rational like 7 or 3/2, got {value!r}") from None
+        raise ValueError(f"expected a rational like 7 or 3/2, got {excerpt(value)}") from None
 
 
 def parse_integer(text: str, name: str) -> int:
@@ -78,7 +88,7 @@ def parse_integer(text: str, name: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+        raise ValueError(f"{name} must be an integer, got {excerpt(text)}") from None
 
 
 def _horner(pairs: Iterable[tuple[int, int]], a: int, b: int) -> tuple[int, int]:

@@ -130,9 +130,18 @@ MUTANTS = [
     Mutant("L2", "exactmath.py", "default=0) > limit:", "default=0) > limit + 1:"),
     Mutant("L3", "exactmath.py", "default=0) > limit:", "default=0) >= limit:"),
     Mutant("L4", "exactmath.py", "max(map(len, _DIGITS.findall(text)), default=0)", "len(text)"),
-    Mutant("L5", "exactmath.py", "starting {text[:24]!r}", "starting {text!r}"),
+    Mutant("L5", "exactmath.py", "digits, got {len(text)} characters starting {text[:24]!r}", "digits, got {len(text)} characters starting {text!r}"),
     Mutant("L6", "exactmath.py", '"get_int_max_str_digits", lambda: 0)', '"get_int_max_str_digits", lambda: 1)'),
     Mutant("L7", "exactmath.py", r'_DIGITS = re.compile(r"\d+")', r'_DIGITS = re.compile(r"[0-9]+")'),
+    # A refusal's excerpt of the text: its bound, and the cut of longer text;
+    # and the refusal of a bool, which isinstance reads as an int.
+    Mutant("E1", "exactmath.py", "    if len(text) <= 24:\n", "    if len(text) <= 25:\n"),
+    Mutant("E2", "exactmath.py", '    return f"{len(text)} characters starting {text[:24]!r}"', '    return f"{len(text)} characters starting {text!r}"'),
+    Mutant("T12", "exactmath.py", "(float, Decimal, bool)", "(float, Decimal)"),
+    # Construction's three boundary checks.
+    Mutant("V1", "geometry.py", "        if r <= 1:\n", "        if r < 1:\n"),
+    Mutant("V2", "geometry.py", "if not (0 <= l < r + 1):", "if not (0 < l < r + 1):"),
+    Mutant("V3", "geometry.py", "        if vol_v <= 0:\n", "        if vol_v < 0:\n"),
     # The verdict: which branch l takes, the beta checks, and which beta a KUnstable carries;
     # the profile kernel's vol(-K_Y) and vol_y's degree guard.
     Mutant("R1", "invariants.py", "    if c.l == 2:\n", "    if c.l != 2:\n"),
@@ -168,6 +177,8 @@ MUTANTS = [
     Mutant("M14", "refinement.py", "if type(s) is not int or type(d)", "if type(d)"),
     Mutant("M15", "refinement.py", " or type(d) is not int or s < 1", " or s < 1"),
     Mutant("M16", "refinement.py", "if type(m) is not int or m < 1:", "if not isinstance(m, int) or m < 1:"),
+    # HilbertFunction refuses a negative degree.
+    Mutant("M17", "refinement.py", "        if k < 0:\n", "        if k < -1:\n"),
 ]
 
 

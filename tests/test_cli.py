@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -408,6 +409,22 @@ class TestGlobalFlags:
         assert code == 0
         assert json.loads(out)["a"] == "13/75"
 
+    def test_quiet_before_subcommand(self, capsys):
+        assert run(capsys, "--quiet", "coeff", "--dim", "4", "--index", "2") == (0, "13/75\n", "")
+
+    def test_one_parser_per_command(self, monkeypatch):
+        # The main parser and one per subcommand; no parent parsers.
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._build_parser()
+        assert built == ["fanoblowup", *(f"fanoblowup {name}" for name in ("coeff", "invariants", "catalog", "refine"))]
+
 
 class TestBounds:
     REFINE = ["refine", "--dim", "3", "--index", "3", "--base", "ps:2:1"]
@@ -460,6 +477,55 @@ class TestBounds:
             main(argv)
         assert exc.value.code == 2
         assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "read, text, reason",
+        [
+            (catalog.bounded_dim, "9" * 3000, f"n is limited to {MAX_DIM}, got {{}}"),
+            (catalog.bounded_rational, "1" + "0" * 3000, f"numerator and denominator are limited to {MAX_BITS} bits, got {{}}"),
+        ],
+        ids=["dim", "bits"],
+    )
+    def test_bounds_quote_long_text_by_excerpt(self, read, text, reason):
+        with pytest.raises(ValueError) as refused:
+            read(text)
+        assert str(refused.value) == reason.format(f"{len(text)} characters starting {text[:24]!r}")
+
+    LONG = "x" * 3000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeff", "--dim", "3", "--index", LONG],
+            ["coeff", "--dim", LONG, "--index", "2"],
+            ["coeff", "--dim", "9" * 3000, "--index", "2"],
+            ["coeff", "--dim", "3", "--index", "1" + "0" * 3000],
+            ["invariants", "--dim", "3", "--index", "2", "--l", "1_0" * 1000],
+            ["invariants", "--dim", "3", "--index", "2", "--l", "1", "--vol-v", "1e" + "0" * 3000],
+            REFINE + ["--m", f"1,{LONG}"],
+            REFINE + ["--m", ",".join(["1"] * (MAX_M + 1))],
+            ["refine", "--dim", "3", "--index", "3", "--base", "q" * 3000, "--m", "1"],
+            ["refine", "--dim", "3", "--index", "3", "--base", f"ps:{LONG}:1", "--m", "1"],
+        ],
+        ids=["index", "dim", "dim-bound", "index-bits", "l-separators", "vol-v-exponent", "m", "m-total", "base", "base-size"],
+    )
+    def test_refused_long_text_keeps_stderr_short(self, capsys, monkeypatch, argv):
+        refuse_computation(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        # The usage line and the reason, with the text cut to its first 24 characters.
+        assert len(capsys.readouterr().err) < 400
+
+    @pytest.mark.parametrize("key", ["n", "r", "expect_destabilizer"])
+    def test_catalog_refusal_of_long_text_keeps_stderr_short(self, tmp_path, capsys, monkeypatch, key):
+        refuse_computation(monkeypatch)
+        entry = {"n": "3", "r": "3", "l": "3", key: "q" * 3000}
+        path = tmp_path / "long.cfg"
+        path.write_text("[long]\n" + "".join(f"{k} = {v}\n" for k, v in entry.items()), encoding="utf-8")
+        code, out, err = run(capsys, "catalog", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: entry [long]: ") and len(err) < 200
 
     @pytest.mark.parametrize("text", ["3/2", " 3/2 ", "2.5", "-0", "7", "3_0/2", "1e1", "1.e2", "three", "1/0"])
     def test_flags_read_rationals_as_the_library_does(self, text):

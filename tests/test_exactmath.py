@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
-from fanoblowup import ONE, ZERO, Construction, Poly, as_rational, hilbert_projective_space, parse_integer
+from fanoblowup import ONE, ZERO, Construction, Poly, as_rational, excerpt, hilbert_projective_space, parse_integer
 
 from oracles import binom_int, coeff_difference, coeff_product, naive_eval, naive_integral
 
@@ -181,6 +181,32 @@ class TestOverLongText:
         assert as_rational("123456") == parse_integer("123456", "n") == 123456
 
 
+class TestRefusalExcerpt:
+    """A refusal quotes text of up to 24 characters whole, and longer text by
+    its length and its first 24 characters, so its size does not grow with
+    the input."""
+
+    def test_excerpt(self):
+        assert excerpt("x" * 24) == repr("x" * 24)
+        assert excerpt("x" * 25) == f"25 characters starting {'x' * 24!r}"
+
+    @pytest.mark.parametrize(
+        "read, text, reason",
+        [
+            (as_rational, "x" * 5000, "expected a rational like 7 or 3/2, got {}"),
+            (as_rational, "1_0" * 3000, "digit separators '_' are not accepted, got {}"),
+            (as_rational, " 1e5" + "0" * 3000, "exponent notation is not accepted, got {}; write an integer or p/q"),
+            (lambda text: parse_integer(text, "m"), "x" * 3000, "m must be an integer, got {}"),
+            (lambda text: parse_integer(text, "m"), "1_0" * 3000, "digit separators '_' are not accepted, got {}"),
+        ],
+        ids=["malformed", "separators", "exponent", "integer", "integer-separators"],
+    )
+    def test_long_text_is_quoted_by_excerpt(self, read, text, reason):
+        with pytest.raises(ValueError) as refused:
+            read(text)
+        assert str(refused.value) == reason.format(f"{len(text)} characters starting {text[:24]!r}")
+
+
 class TestPolyBasics:
     def test_trailing_zeros_stripped(self):
         assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
@@ -192,6 +218,12 @@ class TestPolyBasics:
             Poly([0.5])
         with pytest.raises(TypeError):
             as_rational(0.5)
+        # A bool is an int to isinstance, but a flag, not a coefficient.
+        for flag in (True, False):
+            with pytest.raises(TypeError, match=f"^refusing bool {flag}; "):
+                as_rational(flag)
+            with pytest.raises(TypeError):
+                Poly([flag, 2])
 
     def test_mul_difference_of_squares(self):
         assert Poly([1, 1]) * Poly([1, -1]) == Poly([1, 0, -1])

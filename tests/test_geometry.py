@@ -60,6 +60,9 @@ class TestConstructionValidation:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Construction(3, 1.5, 2)
+        # Not l = 1: a bool is refused as a float is.
+        with pytest.raises(TypeError, match="^refusing bool True"):
+            Construction(3, 2, True)
 
     def test_keyword_strings_coerce_to_fraction(self):
         # The catalog builds constructions by keyword from the strings it parsed.

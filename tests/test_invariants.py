@@ -28,8 +28,11 @@ from fanoblowup import (
 
 from oracles import (
     admissible_grid,
+    binom_int,
     closed_form_vol_y,
+    coeff_product,
     coefficient_a_closed_form,
+    interpolate,
     profile_quadrature,
     rel_err,
     s_pair_closed_form,
@@ -116,6 +119,104 @@ class TestBetaSumLemma:
                 assert b0 < 0 < binf
             else:
                 assert binf < 0 < b0
+
+
+def _padded(coeffs: list[Fraction], size: int) -> list[Fraction]:
+    assert len(coeffs) <= size, f"degree {len(coeffs) - 1} exceeds the bound {size - 1}"
+    return coeffs + [Fraction(0)] * (size - len(coeffs))
+
+
+def _summed(terms) -> list[Fraction]:
+    """The sum of (scale, coefficient list) pairs, as one coefficient list."""
+    out: list[Fraction] = []
+    for scale, coeffs in terms:
+        out = _padded(out, max(len(out), len(coeffs)))
+        for i, c in enumerate(coeffs):
+            out[i] += scale * c
+    return out
+
+
+def _power(base: list, k: int) -> list[Fraction]:
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = list(coeff_product(out, base))
+    return out
+
+
+def _g_polynomials(n: int) -> dict:
+    """G_D(r, l) = r^n vol(-K_Y) beta(D) at vol_v = 1, for both D, as grids
+    g[j][i] of the coefficient of l^j r^i, interpolated from report().
+
+    Degree bound, from top_power's ladders: on each segment the coefficients
+    x and y of the positive part are affine in t and free of r and l, and z
+    is 1 on [0, 1] and (affine in t, of degree <= 1 in (r, l)) / r on [1, 2];
+    the ratio q is -1/r or (1-l)/r (at l = 1 only the k = 1 rung of its
+    ladder is left).  So r^n times the rung C(n,k) w^k z^(n-k) q^(k-1) is
+    r^(n-k+1) times a polynomial of degree k-1 in l where z = 1, and r times
+    one of degree <= n-k in r and <= n-1 in l elsewhere: of degree <= n in r
+    and <= n-1 in l either way.  Integrating over fixed t-limits keeps the
+    degrees, and vol(-K_Y) is the profile at t = 0, so G has the same bound.
+    Each interpolation uses one point more than the bound and checks that
+    the top coefficient vanishes.
+    """
+    rs = [2 + Fraction(k, 3) for k in range(n + 2)]
+    ls = [Fraction(2 * k, n) for k in range(n + 1)]  # 0 <= l <= 2 < r + 1
+    grids = {}
+    samples = {(r, l): report(Construction(n, r, l)) for r in rs for l in ls}
+    for d, beta_of in ((ZS, lambda rep: rep.beta_v0), (IS, lambda rep: rep.beta_vinf)):
+        in_l = [
+            _padded(interpolate([(l, r ** n * samples[r, l].vol_y * beta_of(samples[r, l])) for l in ls]), n)
+            for r in rs
+        ]
+        grids[d] = [_padded(interpolate(list(zip(rs, column))), n + 1) for column in zip(*in_l)]
+    return grids
+
+
+class TestDichotomyCertificate:
+    """The sign of each horizontal beta, proven for every admissible (r, l) per n.
+
+    G_D = (l - 2) Q_D exactly.  With r = 1 + u (u > 0) and l = (2 + u) w
+    (w in [0, 1)), Q_D's Bernstein coefficients in w are polynomials in u
+    whose coefficients all have D's sign, none of them zero: each is then
+    strictly of that sign for u > 0, and so is Q_D, a convex combination of
+    them.  vol(-K_Y) > 0 (closed_form_vol_y is a sum of positive terms), so
+    beta(V_0) has the sign of l - 2, beta(Vbar_inf) the opposite one, and
+    both vanish only at l = 2: V_0 destabilizes Y for l < 2, Vbar_inf for
+    l > 2.
+    """
+
+    @staticmethod
+    def bernstein_in_w(q: list[list[Fraction]]) -> list[list[Fraction]]:
+        """The Bernstein coefficients, in w of degree len(q) - 1, of
+        Q(1 + u, (2 + u) w), each a coefficient list in u."""
+        degree = len(q) - 1
+        # The coefficient of w^j: (2 + u)^j sum_i q[j][i] (1 + u)^i.
+        in_w = [
+            list(coeff_product(_power([2, 1], j), _summed((c, _power([1, 1], i)) for i, c in enumerate(row))))
+            for j, row in enumerate(q)
+        ]
+        return [
+            _summed((Fraction(binom_int(k, j), binom_int(degree, j)), in_w[j]) for j in range(k + 1))
+            for k in range(degree + 1)
+        ]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sign_of_each_beta_for_every_r_and_l(self, n):
+        grids = _g_polynomials(n)
+        for d, sign in ((ZS, 1), (IS, -1)):
+            g = grids[d]
+            # Synthetic division by l - 2; the remainder is G at l = 2.
+            q = [g[-1]]
+            for row in reversed(g[1:-1]):
+                q.insert(0, [c + 2 * h for c, h in zip(row, q[0])])
+            assert [c + 2 * h for c, h in zip(g[0], q[0])] == [0] * (n + 1), "G does not vanish at l = 2"
+            for coeffs in self.bernstein_in_w(q):
+                assert any(coeffs) and all(sign * c >= 0 for c in coeffs), (n, d, coeffs)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_betas_sum_to_zero_for_every_r_and_l(self, n):
+        g = _g_polynomials(n)
+        assert g[ZS] == [[-c for c in row] for row in g[IS]]
 
 
 class TestCoefficientA:
