@@ -21,10 +21,9 @@ l is K-unstable, so only ``expect_destabilizer``; the other key is refused
 at load.  Entries without expectations are report-only.  Rationals are read
 by ``exactmath.as_rational``, with at most MAX_BITS bits above and below the
 line, and ``n`` by ``parse_integer``.  A ``;`` after a value starts a comment.
-``[DEFAULT]`` is refused: INI readers merge its keys into every other section.
+A ``[DEFAULT]`` section with keys is refused, since INI readers merge its
+keys into every other section; an empty one merges nothing and is ignored.
 """
-
-from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
@@ -140,15 +139,12 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
     """Parse a catalog file into ordered entries.
 
     Raises CatalogError for a file that cannot be read or is not UTF-8, with
-    the parser's line information on syntax errors, and for a section named
-    DEFAULT, whose keys the INI format would merge into every other entry.
+    the parser's line information on syntax errors, and for keys in a
+    section named DEFAULT, which the INI format merges into every other entry.
     """
     import configparser  # only catalog runs parse INI; keeps it off every CLI start-up
 
-    # No section header can be "\n", so [DEFAULT] is read as a section of its own.
-    parser = configparser.ConfigParser(
-        interpolation=None, strict=True, default_section="\n", inline_comment_prefixes=(";",)
-    )
+    parser = configparser.ConfigParser(interpolation=None, strict=True, inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle, source=str(path))
@@ -156,7 +152,7 @@ def load_catalog(path: str | Path) -> list[CatalogEntry]:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     except configparser.Error as exc:
         raise CatalogError(f"catalog parse error: {exc}") from exc
-    if parser.has_section("DEFAULT"):
+    if parser.defaults():
         raise CatalogError(f"{path}: section [DEFAULT] is reserved in INI files; give the entry another name")
     return [_parse_entry(name, parser[name]) for name in parser.sections()]
 

@@ -9,14 +9,12 @@ Subcommands:
 Flags --json (machine-readable output, one document per run) and --quiet
 (suppress non-essential text) are accepted globally or per subcommand.
 Rationals cross the boundary as exact "p/q" strings; decimals are display
-only.  Input is bounded: --dim by catalog.MAX_DIM, the numerator and
-denominator of each rational flag by catalog.MAX_BITS bits, and the sum of
-the --m levels by MAX_M.  Exit codes: 0 success, 1 expectation mismatch,
-2 invalid input (a bound included), 3 internal fault of any kind, 4 the
-result could not be written to stdout.
+only.  Input is bounded: --dim and the sizes of --base by catalog.MAX_DIM,
+the numerator and denominator of each rational flag by catalog.MAX_BITS
+bits, and the sum of the --m levels by MAX_M.  Exit codes: 0 success,
+1 expectation mismatch, 2 invalid input (a bound included), 3 internal fault
+of any kind, 4 the result could not be written to stdout.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -79,6 +77,8 @@ def _base_flag(text: str) -> HilbertFunction:
         s, d = (parse_integer(size, name) for name, size in zip("sd", sizes))
     except ValueError as exc:
         raise ValueError(f"{unknown}; {exc}") from None
+    if not (1 <= s <= MAX_DIM and 1 <= d <= MAX_DIM):
+        raise ValueError(f"the sizes s and d must be from 1 to {MAX_DIM}, got {excerpt(text)}")
     return hilbert_projective_space(s, d)
 
 

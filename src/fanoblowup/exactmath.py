@@ -11,8 +11,6 @@ of numbers written as text: as_rational and parse_integer read it, and
 excerpt quotes the text a refusal echoes.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from decimal import Decimal
@@ -49,11 +47,11 @@ def _refuse_digits(text: str) -> None:
     # int accepts "3_0" and Fraction does from Python 3.11 on; refused on all.
     if "_" in text:
         raise ValueError(f"digit separators '_' are not accepted, got {excerpt(text)}")
-    # int refuses a longer run of digits (0, or no such function before Python 3.10.7: no limit).
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # int refuses a longer run of digits (0: no limit).  A nonzero limit is at
+    # least 640, so the refused text is longer than excerpt quotes whole.
+    limit = sys.get_int_max_str_digits()
     if limit and max(map(len, _DIGITS.findall(text)), default=0) > limit:
-        # Length is the reason here, so it is stated even for text excerpt would quote whole.
-        raise ValueError(f"numbers are limited to {limit} digits, got {len(text)} characters starting {text[:24]!r}")
+        raise ValueError(f"numbers are limited to {limit} digits, got {excerpt(text)}")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -168,7 +166,8 @@ class Poly:
         return Poly(out)
 
     def __mul__(self, other) -> "Poly":
-        if not isinstance(other, (Poly, int, Fraction)):
+        # A bool is a flag, not a number: as_rational refuses it too.
+        if type(other) is bool or not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
         a, b = self._coeffs, other._coeffs if isinstance(other, Poly) else (other,)
         if len(b) == 1:

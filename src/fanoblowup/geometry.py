@@ -20,8 +20,6 @@ Everything else (vol Y, the volume profiles, S and beta) factors through the
 top-power functional these rules define.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple
 

@@ -11,8 +11,6 @@ the pair (V, a(n,r) B), while for l != 2 exactly one beta is negative and the
 corresponding divisor destabilizes Y.  Everything here is an exact rational.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple, Union
 

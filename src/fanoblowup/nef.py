@@ -11,8 +11,6 @@ vanishing at t = 2, sampled monotonicity) guard each call against
 transcription errors.
 """
 
-from __future__ import annotations
-
 import enum
 from fractions import Fraction
 from typing import NamedTuple

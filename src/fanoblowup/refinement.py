@@ -16,8 +16,6 @@ counts h^0 are pluggable so bases other than projective space can be added
 without touching the summation.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb

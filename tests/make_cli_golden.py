@@ -19,8 +19,6 @@ where the change is recorded.  The command set covers:
   `capture` runs in.
 """
 
-from __future__ import annotations
-
 import contextlib
 import io
 import json

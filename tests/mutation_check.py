@@ -16,8 +16,6 @@ Pytest does not collect this file: its name does not match ``test_*.py``.
 ``tests/test_source_guards.py`` imports it and fails fast on a stale mutant.
 """
 
-from __future__ import annotations
-
 import os
 import shutil
 import subprocess
@@ -100,6 +98,9 @@ MUTANTS = [
     Mutant("G13", "geometry.py", "any(x)", "x[0]"),
     Mutant("G14", "geometry.py", "any(y)", "y[0]"),
     Mutant("G15", "geometry.py", "z_t = Poly(z)", "z_t = Poly(z[:1])"),
+    # The A-coefficients of E and F.
+    Mutant("G16", "geometry.py", "(one / c.r, zero)", "(one, zero)"),
+    Mutant("G17", "geometry.py", "((c.l - 1) / c.r, zero)", "((c.l + 1) / c.r, zero)"),
     Mutant(
         "N1", "nef.py",
         "der.e if d is HorizontalDivisor.INFINITY_SECTION else der.f",
@@ -111,6 +112,9 @@ MUTANTS = [
     Mutant("N4", "nef.py", "[(k - nk, s - ns) for", "[(k - nk, s + ns) for"),
     Mutant("N5", "nef.py", "[(-e, e) for", "[(e, e) for"),
     Mutant("N6", "nef.py", "[(k, s - u) for", "[(k, s + u) for"),
+    # volume_profile's continuity and vanishing guards.
+    Mutant("N7", "nef.py", "    if left_values[-1] != right_values[0]:\n", "    if False:\n"),
+    Mutant("N8", "nef.py", "    if right_values[-1] != 0:\n", "    if False:\n"),
     # The text grammar of as_rational: the "_" rule and the exponent rule.
     Mutant("T1", "exactmath.py", '    if "_" in text:\n', '    if "__" in text:\n'),
     Mutant("T2", "exactmath.py", "    if _EXPONENT.fullmatch(value):\n", "    if False:\n"),
@@ -125,19 +129,19 @@ MUTANTS = [
     Mutant("T10", "exactmath.py", "        return int(text)\n", "        return int(text, 0)\n"),
     Mutant("T11", "exactmath.py", "    except ValueError:\n        raise ValueError(f\"{name}", "    except TypeError:\n        raise ValueError(f\"{name}"),
     # A digit run longer than int converts: the refusal, its bound, the test of
-    # each run, the clipped echo, the limit of an older Python, and Unicode digits.
+    # each run, the echo by excerpt, and Unicode digits.
     Mutant("L1", "exactmath.py", "    if limit and max(", "    if False and max("),
     Mutant("L2", "exactmath.py", "default=0) > limit:", "default=0) > limit + 1:"),
     Mutant("L3", "exactmath.py", "default=0) > limit:", "default=0) >= limit:"),
     Mutant("L4", "exactmath.py", "max(map(len, _DIGITS.findall(text)), default=0)", "len(text)"),
-    Mutant("L5", "exactmath.py", "digits, got {len(text)} characters starting {text[:24]!r}", "digits, got {len(text)} characters starting {text!r}"),
-    Mutant("L6", "exactmath.py", '"get_int_max_str_digits", lambda: 0)', '"get_int_max_str_digits", lambda: 1)'),
+    Mutant("L8", "exactmath.py", "digits, got {excerpt(text)}", "digits, got {text!r}"),
     Mutant("L7", "exactmath.py", r'_DIGITS = re.compile(r"\d+")', r'_DIGITS = re.compile(r"[0-9]+")'),
     # A refusal's excerpt of the text: its bound, and the cut of longer text;
     # and the refusal of a bool, which isinstance reads as an int.
     Mutant("E1", "exactmath.py", "    if len(text) <= 24:\n", "    if len(text) <= 25:\n"),
     Mutant("E2", "exactmath.py", '    return f"{len(text)} characters starting {text[:24]!r}"', '    return f"{len(text)} characters starting {text!r}"'),
     Mutant("T12", "exactmath.py", "(float, Decimal, bool)", "(float, Decimal)"),
+    Mutant("T13", "exactmath.py", "        if type(other) is bool or not", "        if not"),
     # Construction's three boundary checks.
     Mutant("V1", "geometry.py", "        if r <= 1:\n", "        if r < 1:\n"),
     Mutant("V2", "geometry.py", "if not (0 <= l < r + 1):", "if not (0 < l < r + 1):"),
@@ -157,6 +161,10 @@ MUTANTS = [
     Mutant("R8", "invariants.py", "    if vol != vol_inf:\n", "    if vol > vol_inf:\n"),
     Mutant("R9", "invariants.py", "    if vol != vol_inf:\n", "    if vol != vol:\n"),
     Mutant("R10", "invariants.py", "ReducesToPair(vinf_parts[1] / vol)", "ReducesToPair(vinf_parts[0] / vol)"),
+    # classification_fields: each kind's fields, and the refusal of any other value.
+    Mutant("R11", "invariants.py", '{"kind": cls.kind, "a": str(cls.a)}', '{"kind": cls.kind, "a": repr(cls.a)}'),
+    Mutant("R12", "invariants.py", '"destabilizer": cls.destabilizer.value,', '"destabilizer": str(cls.destabilizer),'),
+    Mutant("R13", "invariants.py", "    if isinstance(cls, KUnstable):\n", "    if True:\n"),
     # A level's m+1 counts, N_m, its rows' sections and fixed weights, a_m's
     # denominator, the table's distinct sorted levels, and the base check.
     Mutant("M1", "refinement.py", "total = 2 * sum(counts) - counts[0]", "total = 2 * sum(counts)"),
@@ -179,6 +187,9 @@ MUTANTS = [
     Mutant("M16", "refinement.py", "if type(m) is not int or m < 1:", "if not isinstance(m, int) or m < 1:"),
     # HilbertFunction refuses a negative degree.
     Mutant("M17", "refinement.py", "        if k < 0:\n", "        if k < -1:\n"),
+    # hilbert_projective_space refuses a size below 1.
+    Mutant("M18", "refinement.py", " or s < 1 or d < 1:", " or s < 0 or d < 1:"),
+    Mutant("M19", "refinement.py", " or s < 1 or d < 1:", " or s < 1 or d < 0:"),
 ]
 
 

@@ -7,8 +7,6 @@ which takes volume_profile's polynomials and integrates them in floats with
 scipy: it checks the library's exact integration, not its profiles.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from scipy.integrate import quad

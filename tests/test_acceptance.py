@@ -6,8 +6,6 @@ criterion explicitly involves floating-point quadrature, which is held to
 1e-9 relative error.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 

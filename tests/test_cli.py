@@ -1,5 +1,3 @@
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -44,8 +42,8 @@ def with_unknown_classification(monkeypatch, owner):
 
 
 TOO_WIDE = f"{2 ** MAX_BITS + 1}/{2 ** MAX_BITS}"
-# int converts a run of at most this many digits (0: any number; no limit before Python 3.10.7).
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# int converts a run of at most this many digits (0: any number).
+DIGIT_LIMIT = sys.get_int_max_str_digits()
 OVER_LONG = "9" * 5000
 needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts digit runs of any length")
 
@@ -247,14 +245,14 @@ class TestCatalog:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read catalog {path}: ")
 
-    def test_default_section_alone_exits_2(self, tmp_path, capsys):
+    def test_default_keys_alone_exits_2(self, tmp_path, capsys):
         path = tmp_path / "default.cfg"
         path.write_text(PAIR_ENTRY.replace("family-4.2", "DEFAULT").format(expected="1/2"), encoding="utf-8")
         code, out, err = run(capsys, "catalog", str(path))
         assert code == 2
         assert "[DEFAULT]" in err and out == ""
 
-    def test_default_section_beside_entry_exits_2(self, tmp_path, capsys):
+    def test_default_keys_beside_entry_exits_2(self, tmp_path, capsys):
         # Read as INI defaults, these keys would leak into the 3.31 entry and fail it.
         path = tmp_path / "default_and_331.cfg"
         path.write_text(
@@ -265,6 +263,14 @@ class TestCatalog:
         code, out, err = run(capsys, "catalog", str(path))
         assert code == 2
         assert "[DEFAULT]" in err and out == ""
+
+    def test_empty_default_is_ignored(self, tmp_path, capsys):
+        # An empty [DEFAULT] merges nothing into the entries, so it is read as no entry.
+        path = tmp_path / "empty_default.cfg"
+        path.write_text("[DEFAULT]\n\n" + PAIR_ENTRY.format(expected="11/56"), encoding="utf-8")
+        assert [entry.name for entry in catalog.load_catalog(path)] == ["family-4.2"]
+        code, out, _ = run(capsys, "catalog", str(path))
+        assert (code, out.splitlines()[-1]) == (0, "1/1 entries passed")
 
     def test_both_expectations_exit_2(self, tmp_path, capsys, monkeypatch):
         refuse_computation(monkeypatch)
@@ -469,6 +475,14 @@ class TestBounds:
                     ("m", REFINE + ["--m", f"1,{OVER_LONG}"], OVER_LONG),
                 ]
             ),
+            *(
+                pytest.param(
+                    ["refine", "--dim", "3", "--index", "3", "--base", base, "--m", "1"],
+                    f"the sizes s and d must be from 1 to {MAX_DIM}, got {base!r}",
+                    id=f"base-{base}",
+                )
+                for base in ["ps:0:1", "ps:2:0", "ps:-1:1", f"ps:{MAX_DIM + 1}:1", f"ps:2:{MAX_DIM + 1}"]
+            ),
         ],
     )
     def test_refused_with_exit_2(self, capsys, monkeypatch, argv, reason):
@@ -506,8 +520,14 @@ class TestBounds:
             REFINE + ["--m", ",".join(["1"] * (MAX_M + 1))],
             ["refine", "--dim", "3", "--index", "3", "--base", "q" * 3000, "--m", "1"],
             ["refine", "--dim", "3", "--index", "3", "--base", f"ps:{LONG}:1", "--m", "1"],
+            ["refine", "--dim", "3", "--index", "3", "--base", f"ps:{'9' * 3000}:1", "--m", "1"],
+            ["refine", "--dim", "3", "--index", "3", "--base", f"ps:-{'9' * 3000}:1", "--m", "1"],
+            ["refine", "--dim", "3", "--index", "3", "--base", f"ps:2:{'9' * 3000}", "--m", "1"],
         ],
-        ids=["index", "dim", "dim-bound", "index-bits", "l-separators", "vol-v-exponent", "m", "m-total", "base", "base-size"],
+        ids=[
+            "index", "dim", "dim-bound", "index-bits", "l-separators", "vol-v-exponent", "m", "m-total", "base",
+            "base-size", "base-size-bound", "base-size-negative", "base-degree-bound",
+        ],
     )
     def test_refused_long_text_keeps_stderr_short(self, capsys, monkeypatch, argv):
         refuse_computation(monkeypatch)

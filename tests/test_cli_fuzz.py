@@ -6,8 +6,6 @@ or any other exception, fails the test: exit 3 is an internal fault, which no
 input, valid or not, may trip.
 """
 
-from __future__ import annotations
-
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fanoblowup import MAX_BITS, MAX_DIM

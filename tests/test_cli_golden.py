@@ -4,8 +4,6 @@ The golden file is written by tests/make_cli_golden.py; a change that alters
 any printed output fails here until the file is deliberately regenerated.
 """
 
-from __future__ import annotations
-
 import json
 
 from make_cli_golden import GOLDEN, capture, commands

@@ -1,5 +1,3 @@
-from __future__ import annotations
-
 import random
 import sys
 from decimal import Decimal
@@ -141,8 +139,8 @@ class TestIntegerText:
         assert str(refused.value) == reason
 
 
-# int converts a run of at most this many digits (0: any number; no limit before Python 3.10.7).
-LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# int converts a run of at most this many digits (0: any number).
+LIMIT = sys.get_int_max_str_digits()
 needs_limit = pytest.mark.skipif(not LIMIT, reason="this Python converts digit runs of any length")
 
 
@@ -171,14 +169,22 @@ class TestOverLongText:
         assert as_rational(f"{run}/{sevens}") == Fraction(10 ** LIMIT - 1, int(sevens))
         assert as_rational(" " * LIMIT + "7") == parse_integer(" " * LIMIT + "7", "n") == 7
 
-    def test_limit_is_read_at_each_call(self, monkeypatch):
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5, raising=False)
-        with pytest.raises(ValueError, match="^numbers are limited to 5 digits, got 6 characters starting '123456'$"):
-            as_rational("123456")
-        assert as_rational("12345") == 12345
-        # Before Python 3.10.7 there is no limit, and no such function.
-        monkeypatch.delattr(sys, "get_int_max_str_digits")
-        assert as_rational("123456") == parse_integer("123456", "n") == 123456
+    def test_limit_is_read_at_each_call(self):
+        saved = sys.get_int_max_str_digits()
+        try:
+            # 640 is the least nonzero limit CPython takes.
+            sys.set_int_max_str_digits(640)
+            run = "9" * 641
+            for read in (as_rational, lambda t: parse_integer(t, "n")):
+                with pytest.raises(ValueError) as refused:
+                    read(run)
+                assert str(refused.value) == f"numbers are limited to 640 digits, got 641 characters starting {run[:24]!r}"
+                assert read(run[1:]) == 10 ** 640 - 1
+            # 0: int converts a run of any length.
+            sys.set_int_max_str_digits(0)
+            assert as_rational("9" * 5000) == parse_integer("9" * 5000, "n") == 10 ** 5000 - 1
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestRefusalExcerpt:
@@ -240,6 +246,11 @@ class TestPolyBasics:
         assert 2 * p == p * 2 == Poly([2, 4])
         assert p * Fraction(1, 2) == Fraction(1, 2) * p == Poly([Fraction(1, 2), 1])
         assert Poly([3]) * p == p * Poly([3]) == Poly([3, 6])
+        # A bool is a flag, not a scalar: as_rational refuses it too.
+        for flag in (True, False):
+            for product in (lambda: p * flag, lambda: flag * p):
+                with pytest.raises(TypeError):
+                    product()
         # bench/tracing.py patches these through the class __dict__.
         assert {"__init__", "__mul__", "__rmul__", "__pow__", "integrate"} <= vars(Poly).keys()
 

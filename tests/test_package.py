@@ -1,7 +1,5 @@
 """The package namespace and the README's library example."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 from pathlib import Path
 

@@ -1,5 +1,3 @@
-from __future__ import annotations
-
 from fractions import Fraction
 
 import pytest
@@ -60,8 +58,9 @@ class TestHilbertProjectiveSpace:
         assert h.index == Fraction(3, 2)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            hilbert_projective_space(0, 1)
+        for s, d in [(0, 1), (1, 0)]:
+            with pytest.raises(ValueError, match=f"^need integers s >= 1 and d >= 1, got s={s}, d={d}$"):
+                hilbert_projective_space(s, d)
         with pytest.raises(ValueError):
             P2(-1)
 

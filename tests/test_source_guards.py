@@ -18,8 +18,6 @@
   only in a traced benchmark run.
 """
 
-from __future__ import annotations
-
 import ast
 import sys
 from pathlib import Path
