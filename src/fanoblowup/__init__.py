@@ -8,8 +8,11 @@ divisors, their S- and beta-invariants, the pair-reduction coefficient
 a(n, r) with its finite-m refinement approximations a_m, and the resulting
 K-unstable / reduces-to-pair classification.
 
-The package namespace re-exports each module's ``__all__``; a public name is
-declared once, in its module.
+The package namespace re-exports the ``__all__`` of each module but cli; a
+public name is declared once, in its module.  These are the names that the
+README's Library section lists; a module's other public names, such as
+``exactmath.ZERO`` or ``catalog.default_catalog_path``, stay importable from
+the module.
 """
 
 from .exactmath import *

@@ -39,11 +39,6 @@ __all__ = [
     "MAX_DIM",
     "MAX_BITS",
     "CatalogError",
-    "CatalogEntry",
-    "EntryResult",
-    "bounded_dim",
-    "bounded_rational",
-    "default_catalog_path",
     "load_catalog",
     "run_catalog",
 ]

@@ -9,18 +9,25 @@ over one common denominator and normalize once, into a single Fraction.  No
 floating point enters anywhere in this module.  It also holds the one grammar
 of numbers written as text: as_rational and parse_integer read it, and
 excerpt quotes the text a refusal echoes.
+
+A Poly equals, adds and subtracts only another Poly, so ``p + 1``, ``1 - p``
+and ``-p`` raise TypeError.  A scalar (an int or a Fraction, on either side)
+enters only as a product factor; a product with a constant factor scales the
+other operand's coefficients in one pass.  A power of a constant is one
+Fraction power, and any other power is binary powering that squares by
+symmetry, each cross product computed once and doubled.
 """
 
 import re
 import sys
+from collections.abc import Iterable
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
-__all__ = ["RationalLike", "InvariantViolation", "as_rational", "parse_integer", "excerpt", "Poly", "ZERO", "ONE"]
+__all__ = ["RationalLike", "InvariantViolation", "as_rational", "parse_integer", "excerpt", "Poly"]
 
 
 class InvariantViolation(ArithmeticError):

@@ -12,7 +12,7 @@ corresponding divisor destabilizes Y.  Everything here is an exact rational.
 """
 
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .exactmath import InvariantViolation, Poly, RationalLike
 from .geometry import Construction, derived_classes, top_power
@@ -25,7 +25,6 @@ __all__ = [
     "coefficient_a",
     "ReducesToPair",
     "KUnstable",
-    "Classification",
     "classification_fields",
     "classification_text",
     "classify",
@@ -102,7 +101,7 @@ class KUnstable(NamedTuple):
         return classification_text(self)
 
 
-Classification = Union[ReducesToPair, KUnstable]
+Classification = ReducesToPair | KUnstable
 
 
 def classification_fields(cls: Classification) -> dict[str, str]:
@@ -159,7 +158,9 @@ def report(c: Construction) -> InvariantReport:
     times int u^(n-1) du over [r-1, r], and d/du u^n (u-r) = n u^(n-1) (u-r)
     + u^n gives coefficient_a's ratio.  Otherwise the betas must sum to zero,
     and the one strictly negative beta's divisor destabilizes Y.  A failed
-    claim raises InvariantViolation.
+    claim raises InvariantViolation.  A report makes 4 top_power calls, 10
+    Poly powers (9 at l = 1) and 4 integrations, and calls neither
+    s_invariant, vol_y nor coefficient_a.
     """
     (vol, v0_parts), (vol_inf, vinf_parts) = (_profile_integrals(c, d) for d in HorizontalDivisor)
     if vol != vol_inf:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .exactmath import InvariantViolation, Poly
 from .geometry import ClassPoly, Construction, derived_classes, top_power
 
-__all__ = ["HorizontalDivisor", "Segment", "decompose", "volume_profile"]
+__all__ = ["HorizontalDivisor", "decompose", "volume_profile"]
 
 # Breakpoint and pseudo-effective threshold shared by both divisors.
 BREAK = Fraction(1)

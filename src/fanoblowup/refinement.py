@@ -16,10 +16,11 @@ counts h^0 are pluggable so bases other than projective space can be added
 without touching the summation.
 """
 
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
 from .exactmath import InvariantViolation
 from .geometry import Construction
@@ -28,11 +29,8 @@ from .invariants import coefficient_a
 __all__ = [
     "HilbertFunction",
     "hilbert_projective_space",
-    "ProfileRow",
-    "BasisProfile",
     "basis_profile",
     "a_m",
-    "ConvergenceRow",
     "convergence_table",
 ]
 

@@ -610,8 +610,15 @@ class TestUnwritableOutput:
 
 class TestImportCost:
     def test_import_leaves_out_slow_stdlib_modules(self):
-        """Every CLI call pays for the import: no dataclasses (it pulls in inspect) or configparser."""
-        probe = "import sys, fanoblowup.cli; print(sorted({'dataclasses', 'inspect', 'configparser'} & set(sys.modules)))"
+        """Every CLI call pays for the import: no dataclasses (it pulls in inspect) or configparser.
+
+        A module the interpreter already holds before the import (a ``.pth``
+        file run by ``site`` may load inspect) is not the package's cost.
+        """
+        probe = (
+            "import sys; held = set(sys.modules); import fanoblowup.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'configparser'} & (set(sys.modules) - held)))"
+        )
         done = subprocess.run(
             [sys.executable, "-c", probe],
             env={**os.environ, "PYTHONPATH": str(SRC)},

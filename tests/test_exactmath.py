@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
-from fanoblowup import ONE, ZERO, Construction, Poly, as_rational, excerpt, hilbert_projective_space, parse_integer
+from fanoblowup import Construction, Poly, as_rational, excerpt, hilbert_projective_space, parse_integer
+from fanoblowup.exactmath import ONE, ZERO
 
 from oracles import binom_int, coeff_difference, coeff_product, naive_eval, naive_integral
 

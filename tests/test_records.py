@@ -9,13 +9,13 @@ from fanoblowup import (
     ReducesToPair,
     basis_profile,
     decompose,
-    default_catalog_path,
     derived_classes,
     hilbert_projective_space,
     load_catalog,
     report,
     run_catalog,
 )
+from fanoblowup.catalog import default_catalog_path
 
 C = Construction(3, 3, 2, 9)
 ENTRY = load_catalog(default_catalog_path())[0]

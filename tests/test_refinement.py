@@ -264,7 +264,9 @@ class TestRefinementCertificate:
     at u >= 0: a_m > a at every level.  With one sign change it has exactly
     one root, and exact evaluation places it strictly between two consecutive
     valid levels, so no level has a_m = a.  m (a_m - a) tends to the positive
-    rational lead(E) / lead(N): convergence is exactly of order 1/m.
+    rational lead(E) / lead(N): convergence is exactly of order 1/m.  Of the
+    45 bases ps:s:d with s <= 9, 21 have a_m > a at every level and on the
+    other 24 a_m crosses a once.
     """
 
     # Pinned from the certificates: where a_m crosses a, and a limit of m (a_m - a).
