@@ -14,7 +14,7 @@ corresponding divisor destabilizes Y.  Everything here is an exact rational.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactmath import InvariantViolation, Poly, RationalLike
+from .exactmath import InvariantViolation, RationalLike
 from .geometry import Construction, derived_classes, top_power
 from .nef import HorizontalDivisor, volume_profile
 
@@ -65,17 +65,20 @@ def beta(c: Construction, d: HorizontalDivisor) -> Fraction:
 def coefficient_a(n: int, r: RationalLike) -> Fraction:
     """Pair coefficient a(n, r) for the l = 2 reduction to (V, aB).
 
-    The continuous limit of the refinement's a_m, a ratio of two integrals:
+    The continuous limit of the refinement's a_m, and the [1, 2] tail of
+    Vbar_inf's volume profile over vol_y, which report() integrates.  At
+    l = 2 that tail's positive part is P = (2-t) V_0 + ((r+1-t)/r) A, whose
+    ladder base is (r-1)/r for every t.  So with s = r - 1 and u = r+1-t,
+    vol(P) = vol(V) r^(1-n) (u^n - s^n) and vol_y = 2 vol(V) r^(1-n)
+    (r^n - s^n).  The tail runs over u in [s, r], of length 1, so
 
-        a(n,r) = int_0^1 x (r-x)^(n-1) dx / (2 int_0^1 (r-x)^(n-1) dx),
+        a(n,r) = ((r^(n+1) - s^(n+1)) / (n+1) - s^n) / (2 (r^n - s^n)).
 
-    taken with u = r - x as int (r u^(n-1) - u^n) du / (2 int u^(n-1) du)
-    over [r-1, r] by Poly.integrate.  Always lies in (0, 1/2).  (n, r) must
-    satisfy Construction's checks.
+    Always lies in (0, 1/2).  (n, r) must satisfy Construction's checks.
     """
     r = Construction(n, r, 2).r
-    num = Poly([0] * (n - 1) + [r, -1]).integrate(r - 1, r)
-    return num / (2 * Poly([0] * (n - 1) + [1]).integrate(r - 1, r))
+    s = r - 1
+    return ((r ** (n + 1) - s ** (n + 1)) / (n + 1) - s ** n) / (2 * (r ** n - s ** n))
 
 
 class ReducesToPair(NamedTuple):
@@ -152,15 +155,12 @@ def report(c: Construction) -> InvariantReport:
     vol_y is the profiles' shared value at t = 0, each S a profile's integral
     over vol_y, and the verdict follows the exact signs of the betas.  At
     l = 2 both betas must vanish (Futaki vanishing) and Y reduces to (V, aB),
-    a being Vbar_inf's [1, 2] integral over vol_y.  There the ladder base of
-    P = (2-t) V_0 + ((r+1-t)/r) A is (r-1)/r for every t, so with u = r+1-t
-    the volume is vol(V) r^(1-n) (u^n - (r-1)^n), vol_y is 2 vol(V) r^(1-n) n
-    times int u^(n-1) du over [r-1, r], and d/du u^n (u-r) = n u^(n-1) (u-r)
-    + u^n gives coefficient_a's ratio.  Otherwise the betas must sum to zero,
-    and the one strictly negative beta's divisor destabilizes Y.  A failed
-    claim raises InvariantViolation.  A report makes 4 top_power calls, 10
-    Poly powers (9 at l = 1) and 4 integrations, and calls neither
-    s_invariant, vol_y nor coefficient_a.
+    a being Vbar_inf's [1, 2] integral over vol_y; coefficient_a's docstring
+    derives its closed form.  Otherwise the betas must sum to zero, and the
+    one strictly negative beta's divisor destabilizes Y.  A failed claim
+    raises InvariantViolation.  A report makes 4 top_power calls, 10 Poly
+    powers (9 at l = 1) and 4 integrations, and calls neither s_invariant,
+    vol_y nor coefficient_a.
     """
     (vol, v0_parts), (vol_inf, vinf_parts) = (_profile_integrals(c, d) for d in HorizontalDivisor)
     if vol != vol_inf:

@@ -1,10 +1,11 @@
 """Fixed-list mutation check of the library's exact kernels, text grammar,
-verdict and refinement sums.
+verdict, refinement sums and input bounds.
 
 Each mutant is one textual edit to one file of ``src/fanoblowup``.  It is
-applied to a temporary copy of ``src/``, never in place, and the library test
-modules are run against that copy with ``pytest -x``.  A mutant is killed when
-the run fails.  The check fails when a mutant survives that is not listed as
+applied to a temporary copy of ``src/``, never in place, and the library and
+CLI test modules are run against that copy with ``pytest -x``, the module that
+holds the mutated module's tests first.  A mutant is killed when the run
+fails.  The check fails when a mutant survives that is not listed as
 equivalent, when a listed equivalent mutant is killed (the list is stale), or
 when an edit no longer matches the source exactly once.
 
@@ -33,7 +34,10 @@ TEST_MODULES = [
     "test_invariants.py",
     "test_refinement.py",
     "test_acceptance.py",
+    "test_cli.py",
 ]
+# The module that holds a source module's tests, where it is not test_<module>.
+FIRST = {"catalog.py": "test_cli.py", "cli.py": "test_cli.py"}
 
 
 class Mutant(NamedTuple):
@@ -76,10 +80,16 @@ MUTANTS = [
     Mutant("C2", "exactmath.py", "            k = b[0]\n", "            k = a[0]\n"),
     Mutant("D1", "exactmath.py", "            out[i] -= c\n", "            out[i] += c\n"),
     Mutant("D2", "exactmath.py", "        out += [Fraction(0)] * (len(b) - len(out))\n", ""),
-    Mutant("A1", "invariants.py", "[r, -1]).integrate(r - 1, r)", "[r, -1]).integrate(r, r - 1)"),
-    Mutant("A2", "invariants.py", "num / (2 * Poly(", "num / (Poly("),
-    Mutant("A3", "invariants.py", "Poly([0] * (n - 1) + [r, -1])", "Poly([0] * n + [r, -1])"),
-    Mutant("A4", "invariants.py", "Poly([0] * (n - 1) + [1])", "Poly([0] * n + [1])"),
+    # coefficient_a's closed form: the tail's antiderivative, its s^n strip,
+    # the factor 2 of vol_y, the sign of r^n - s^n, s itself, and the
+    # Construction checks on (n, r).
+    Mutant("A1", "invariants.py", ") / (n + 1) - s ** n)", ") / n - s ** n)"),
+    Mutant("A2", "invariants.py", ") / (n + 1) - s ** n)", ") / (n + 1))"),
+    Mutant("A3", "invariants.py", "/ (2 * (r ** n - s ** n))", "/ (1 * (r ** n - s ** n))"),
+    Mutant("A4", "invariants.py", "/ (2 * (r ** n - s ** n))", "/ (2 * (r ** n + s ** n))"),
+    Mutant("A5", "invariants.py", "    s = r - 1\n", "    s = r - 2\n"),
+    Mutant("A6", "invariants.py", "(r ** (n + 1) - s ** (n + 1))", "(r ** (n + 1) - s ** n)"),
+    Mutant("A7", "invariants.py", "    r = Construction(n, r, 2).r\n", "    r = Fraction(r)\n"),
     Mutant("G1", "geometry.py", "q0 = Fraction(-1) / c.r", "q0 = Fraction(1) / c.r"),
     Mutant("G2", "geometry.py", "qinf = (1 - c.l) / c.r", "qinf = (c.l - 1) / c.r"),
     Mutant("G3", "geometry.py", "(_affine(q0, x, z) ** n - zn)", "(_affine(q0, x, z) ** n)"),
@@ -190,6 +200,14 @@ MUTANTS = [
     # hilbert_projective_space refuses a size below 1.
     Mutant("M18", "refinement.py", " or s < 1 or d < 1:", " or s < 0 or d < 1:"),
     Mutant("M19", "refinement.py", " or s < 1 or d < 1:", " or s < 1 or d < 0:"),
+    # The input bounds of the catalog and the CLI: n, each rational's bits,
+    # the sizes of --base at either end, and the --m total.
+    Mutant("B1", "catalog.py", "    if n > MAX_DIM:\n", "    if n > MAX_DIM + 1:\n"),
+    Mutant("B2", "catalog.py", "bit_length()) > MAX_BITS:", "bit_length()) > MAX_BITS + 1:"),
+    Mutant("B3", "cli.py", "1 <= s <= MAX_DIM and", "1 <= s <= MAX_DIM + 1 and"),
+    Mutant("B4", "cli.py", "1 <= s <= MAX_DIM and", "0 <= s <= MAX_DIM and"),
+    Mutant("B5", "cli.py", "and 1 <= d <= MAX_DIM)", "and 1 <= d <= MAX_DIM + 1)"),
+    Mutant("B6", "cli.py", "    if sum(map(abs, values)) > MAX_M:\n", "    if sum(map(abs, values)) > MAX_M + 1:\n"),
 ]
 
 
@@ -223,7 +241,7 @@ def check(mutant: Mutant, scratch: Path) -> str:
         return reason
     path = src / "fanoblowup" / mutant.module
     path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
-    survived = run_tests(src, src.parent, first=f"test_{mutant.module}")
+    survived = run_tests(src, src.parent, first=FIRST.get(mutant.module, f"test_{mutant.module}"))
     if survived and mutant.equivalent is None:
         return "SURVIVED"
     if not survived and mutant.equivalent is not None:

@@ -220,7 +220,9 @@ def coefficient_a_closed_form(n: int, r: Fraction) -> Fraction:
 
         a(n,r) = (r^(n+1) - (r-1)^(n+1) - (n+1)(r-1)^n) / (2(n+1)(r^n - (r-1)^n)),
 
-    the two integrals of coefficient_a taken by hand.
+    the integral ratio int_0^1 x (r-x)^(n-1) dx / (2 int_0^1 (r-x)^(n-1) dx)
+    taken by hand.  It is coefficient_a's formula over one denominator, so
+    TestCoefficientA also checks both against that ratio on coefficient lists.
     """
     r = Fraction(r)
     return (r ** (n + 1) - (r - 1) ** (n + 1) - (n + 1) * (r - 1) ** n) / (2 * (n + 1) * (r ** n - (r - 1) ** n))

@@ -32,6 +32,7 @@ from oracles import (
     coeff_product,
     coefficient_a_closed_form,
     interpolate,
+    naive_integral,
     profile_quadrature,
     rel_err,
     s_pair_closed_form,
@@ -201,7 +202,7 @@ class TestDichotomyCertificate:
             for k in range(degree + 1)
         ]
 
-    @pytest.mark.parametrize("n", [*range(2, 9), 10, 12, 16])
+    @pytest.mark.parametrize("n", [*range(2, 9), 10, 12, 16, 20, 24])
     def test_sign_of_each_beta_for_every_r_and_l(self, n):
         grids = _g_polynomials(n)
         for d, sign in ((ZS, 1), (IS, -1)):
@@ -214,7 +215,7 @@ class TestDichotomyCertificate:
             for coeffs in self.bernstein_in_w(q):
                 assert any(coeffs) and all(sign * c >= 0 for c in coeffs), (n, d, coeffs)
 
-    @pytest.mark.parametrize("n", [*range(2, 9), 10, 12, 16])
+    @pytest.mark.parametrize("n", [*range(2, 9), 10, 12, 16, 20, 24])
     def test_betas_sum_to_zero_for_every_r_and_l(self, n):
         g = _g_polynomials(n)
         assert g[ZS] == [[-c for c in row] for row in g[IS]]
@@ -240,10 +241,28 @@ class TestCoefficientA:
 
     @pytest.mark.parametrize("n", range(2, 65))
     def test_matches_paper_closed_form(self, n):
+        # The integral ratio int_0^1 x (r-x)^(n-1) dx / (2 int_0^1 (r-x)^(n-1) dx),
+        # taken term by term on coefficient lists, shares no code with
+        # coefficient_a's closed form.
         rng = random.Random(16 * n)
         wide = [wide_rational(rng, Fraction(1), Fraction(4)) for _ in range(3)]
         for r in [Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 2), *wide]:
-            assert coefficient_a(n, r) == coefficient_a_closed_form(n, r)
+            power = _power([r, -1], n - 1)
+            integrals = naive_integral(coeff_product([0, 1], power), 0, 1), naive_integral(power, 0, 1)
+            assert coefficient_a(n, r) == coefficient_a_closed_form(n, r) == integrals[0] / (2 * integrals[1])
+
+    def test_builds_no_poly(self, monkeypatch):
+        calls = Counter()
+        for name in ("__init__", "integrate"):
+            def counted(*args, _name=name, _real=getattr(Poly, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(Poly, name, counted)
+        for n in (2, 3, 16, 64):
+            coefficient_a(n, Fraction(3, 2))
+        assert calls == {}
+        Poly([1, 1]).integrate(0, 1)  # the counters do count
+        assert calls == {"__init__": 1, "integrate": 1}
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -437,12 +456,13 @@ class TestReportOnePass:
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_tail_equals_a_for_every_r(self, n):
-        # top_power's ladders make both sides, after clearing r^(n-1) and
-        # vol(V), a ratio N(r) / D(r) with deg N <= n and deg D <= n-1:
-        #   report:        the tail int_(r-1)^r (u^n - (r-1)^n) du over
-        #                  vol_y = 2 (r^n - (r-1)^n), with q0 x + z = (r-1)/r;
-        #   coefficient_a: int_(r-1)^r (r u^(n-1) - u^n) du over
-        #                  2 int_(r-1)^r u^(n-1) du = 2 (r^n - (r-1)^n) / n.
+        # Both sides, after clearing r^(n-1) and vol(V), are a ratio
+        # N(r) / D(r) with deg N <= n and deg D <= n-1; with s = r - 1:
+        #   report:        top_power's ladders give the tail
+        #                  int_s^r (u^n - s^n) du over vol_y = 2 (r^n - s^n),
+        #                  with q0 x + z = s/r, integrated by Poly.integrate;
+        #   coefficient_a: ((r^(n+1) - s^(n+1)) / (n+1) - s^n) over
+        #                  2 (r^n - s^n), that tail taken by hand.
         # Both denominators are positive for r > 1, so the identity is
         # N D' - N' D = 0, a polynomial of degree <= 2n - 1 in r: holding at
         # 2n distinct r > 1, it holds at every r.
