@@ -37,15 +37,61 @@ def binom_int(n: int, k: int) -> int:
     return value
 
 
-def _coeff_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Schoolbook product of two coefficient lists (lowest degree first)."""
-    if not a or not b:
-        return []
+# The coefficient-list kit: every operation takes sequences of rationals,
+# lowest degree first, and returns a tuple with trailing zeros stripped.
+
+
+def _stripped(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    """The coefficients without trailing zeros, as in Poly.coeffs."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def coeff_product(a, b) -> tuple[Fraction, ...]:
+    """The schoolbook product of two coefficient sequences, with no constant-factor shortcut."""
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
+    return _stripped(out)
+
+
+def coeff_sum(*terms) -> tuple[Fraction, ...]:
+    """sum scale * coeffs over the (scale, coeffs) pairs, the shorter sequences padded with zeros."""
+    out = [Fraction(0)] * max((len(coeffs) for _, coeffs in terms), default=0)
+    for scale, coeffs in terms:
+        for i, c in enumerate(coeffs):
+            out[i] += scale * c
+    return _stripped(out)
+
+
+def coeff_difference(a, b) -> tuple[Fraction, ...]:
+    """a - b coefficient by coefficient."""
+    return coeff_sum((1, a), (-1, b))
+
+
+def coeff_power(base, k: int) -> tuple[Fraction, ...]:
+    """base^k by k repeated products, not by Poly's binary powering."""
+    out = (Fraction(1),)
+    for _ in range(k):
+        out = coeff_product(out, base)
     return out
+
+
+def compose_affine(coeffs, alpha, beta) -> tuple[Fraction, ...]:
+    """Coefficients of p(alpha + beta u) in u, by Horner's rule on coefficient lists."""
+    out: tuple[Fraction, ...] = ()
+    for c in reversed(coeffs):
+        out = coeff_sum((1, coeff_product(out, [alpha, beta])), (c, [1]))
+    return out
+
+
+def sign_changes(coeffs) -> int:
+    """Sign changes along the nonzero coefficients: by Descartes' rule, the
+    number of positive roots, counted with multiplicity, or more by an even number."""
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def ladder_top_power(n: int, r: Fraction, l: Fraction, vol_v: Fraction, x, y, z) -> tuple[Fraction, ...]:
@@ -59,43 +105,11 @@ def ladder_top_power(n: int, r: Fraction, l: Fraction, vol_v: Fraction, x, y, z)
     stripped, as in Poly.coeffs.
     """
     q0, qinf = Fraction(-1) / r, (1 - l) / r
-
-    def powers(seq) -> list[list[Fraction]]:
-        out = [[Fraction(1)]]
-        for _ in range(n):
-            out.append(_coeff_mul(out[-1], [Fraction(v) for v in seq]))
-        return out
-
-    xs, ys, zs = powers(x), powers(y), powers(z)
-    total: list[Fraction] = []
-    for k in range(1, n + 1):
-        ck = binom_int(n, k)
-        for pw, q in ((xs, q0), (ys, qinf)):
-            scale = vol_v * ck * q ** (k - 1)
-            rung = _coeff_mul(pw[k], zs[n - k])
-            total += [Fraction(0)] * (len(rung) - len(total))
-            for i, coeff in enumerate(rung):
-                total[i] += scale * coeff
-    return _stripped(total)
-
-
-def _stripped(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """The coefficients without trailing zeros, as in Poly.coeffs."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def coeff_product(a, b) -> tuple[Fraction, ...]:
-    """The schoolbook product of two coefficient sequences, with no constant-factor shortcut."""
-    return _stripped(_coeff_mul([Fraction(v) for v in a], [Fraction(v) for v in b]))
-
-
-def coeff_difference(a, b) -> tuple[Fraction, ...]:
-    """a - b coefficient by coefficient, the shorter sequence padded with zeros."""
-    size = max(len(a), len(b))
-    padded_a, padded_b = ([Fraction(v) for v in cs] + [Fraction(0)] * (size - len(cs)) for cs in (a, b))
-    return _stripped([u - v for u, v in zip(padded_a, padded_b)])
+    return coeff_sum(*(
+        (vol_v * binom_int(n, k) * q ** (k - 1), coeff_product(coeff_power(w, k), coeff_power(z, n - k)))
+        for k in range(1, n + 1)
+        for w, q in ((x, q0), (y, qinf))
+    ))
 
 
 def naive_eval(coeffs, x) -> Fraction:
@@ -422,11 +436,8 @@ def interpolate(points) -> list[Fraction]:
     for j in range(1, len(xs)):
         for i in range(len(xs) - 1, j - 1, -1):
             diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
-    coeffs: list[Fraction] = []
+    coeffs: tuple[Fraction, ...] = ()
     for x, diff in zip(reversed(xs), reversed(diffs)):
         # coeffs <- coeffs * (t - x) + diff
-        coeffs = _coeff_mul(coeffs, [-x, Fraction(1)]) or [Fraction(0)]
-        coeffs[0] += diff
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+        coeffs = coeff_sum((1, coeff_product(coeffs, [-x, 1])), (diff, [1]))
+    return list(coeffs)

@@ -27,6 +27,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_catalog_text(capsys, tmp_path, text: str, *flags):
+    """Write text to tmp_path / "catalog.cfg" and run `catalog` on it with the flags."""
+    path = tmp_path / "catalog.cfg"
+    path.write_text(text, encoding="utf-8")
+    return run(capsys, "catalog", str(path), *flags)
+
+
 def refuse_computation(monkeypatch):
     """Make every computation the CLI reaches fail, so that a refused input is never run."""
     def reached(*args, **kwargs):
@@ -167,38 +174,28 @@ class TestCatalog:
             Fraction(entry[key])  # every rational field round-trips
 
     def test_expectation_mismatch_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text(PAIR_ENTRY.format(expected="1/2"), encoding="utf-8")
-        code, out, _ = run(capsys, "catalog", str(path))
+        code, out, _ = run_catalog_text(capsys, tmp_path, PAIR_ENTRY.format(expected="1/2"))
         assert code == 1
         assert "FAIL family-4.2" in out
         assert "11/56 ≠ 1/2" in out
 
     def test_correct_expectation_exits_0(self, tmp_path, capsys):
-        path = tmp_path / "good.cfg"
-        path.write_text(PAIR_ENTRY.format(expected="11/56"), encoding="utf-8")
-        code, out, _ = run(capsys, "catalog", str(path))
+        code, out, _ = run_catalog_text(capsys, tmp_path, PAIR_ENTRY.format(expected="11/56"))
         assert code == 0
         assert "PASS family-4.2: reduces-to-pair a=11/56" in out
 
     def test_empty_catalog_exits_0(self, tmp_path, capsys):
-        path = tmp_path / "empty.cfg"
-        path.write_text("", encoding="utf-8")
-        code, out, _ = run(capsys, "catalog", str(path))
+        code, out, _ = run_catalog_text(capsys, tmp_path, "")
         assert code == 0
         assert "0/0 entries passed" in out
 
     def test_parse_error_exits_2_with_location(self, tmp_path, capsys):
-        path = tmp_path / "broken.cfg"
-        path.write_text("[entry]\nn = 3\nr 2\n", encoding="utf-8")
-        code, _, err = run(capsys, "catalog", str(path))
+        code, _, err = run_catalog_text(capsys, tmp_path, "[entry]\nn = 3\nr 2\n")
         assert code == 2
         assert "line" in err and "3" in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "odd.cfg"
-        path.write_text("[entry]\nn = 3\nr = 2\nl = 2\nvolume = 1\n", encoding="utf-8")
-        code, _, err = run(capsys, "catalog", str(path))
+        code, _, err = run_catalog_text(capsys, tmp_path, "[entry]\nn = 3\nr = 2\nl = 2\nvolume = 1\n")
         assert code == 2
         assert "unknown key" in err
 
@@ -214,15 +211,11 @@ class TestCatalog:
     )
     def test_missing_key_or_bad_destabilizer_exits_2(self, tmp_path, capsys, monkeypatch, entry, reason):
         refuse_computation(monkeypatch)
-        path = tmp_path / "refused.cfg"
-        path.write_text(f"[entry]\n{entry}", encoding="utf-8")
-        code, out, err = run(capsys, "catalog", str(path))
+        code, out, err = run_catalog_text(capsys, tmp_path, f"[entry]\n{entry}")
         assert (code, out, err) == (2, "", f"error: entry [entry]: {reason}\n")
 
     def test_inadmissible_entry_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "inadmissible.cfg"
-        path.write_text("[entry]\nn = 3\nr = 1\nl = 0\n", encoding="utf-8")
-        code, _, err = run(capsys, "catalog", str(path))
+        code, _, err = run_catalog_text(capsys, tmp_path, "[entry]\nn = 3\nr = 1\nl = 0\n")
         assert code == 2
         assert "r must exceed 1" in err
 
@@ -246,37 +239,34 @@ class TestCatalog:
         assert err.startswith(f"error: cannot read catalog {path}: ")
 
     def test_default_keys_alone_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "default.cfg"
-        path.write_text(PAIR_ENTRY.replace("family-4.2", "DEFAULT").format(expected="1/2"), encoding="utf-8")
-        code, out, err = run(capsys, "catalog", str(path))
+        code, out, err = run_catalog_text(
+            capsys, tmp_path, PAIR_ENTRY.replace("family-4.2", "DEFAULT").format(expected="1/2")
+        )
         assert code == 2
         assert "[DEFAULT]" in err and out == ""
 
     def test_default_keys_beside_entry_exits_2(self, tmp_path, capsys):
         # Read as INI defaults, these keys would leak into the 3.31 entry and fail it.
-        path = tmp_path / "default_and_331.cfg"
-        path.write_text(
+        code, out, err = run_catalog_text(
+            capsys,
+            tmp_path,
             PAIR_ENTRY.replace("family-4.2", "DEFAULT").format(expected="1/2")
             + "\n[family-3.31]\nn = 3\nr = 3\nl = 1\nexpect_destabilizer = zero-section\n",
-            encoding="utf-8",
         )
-        code, out, err = run(capsys, "catalog", str(path))
         assert code == 2
         assert "[DEFAULT]" in err and out == ""
 
     def test_empty_default_is_ignored(self, tmp_path, capsys):
         # An empty [DEFAULT] merges nothing into the entries, so it is read as no entry.
-        path = tmp_path / "empty_default.cfg"
-        path.write_text("[DEFAULT]\n\n" + PAIR_ENTRY.format(expected="11/56"), encoding="utf-8")
-        assert [entry.name for entry in catalog.load_catalog(path)] == ["family-4.2"]
-        code, out, _ = run(capsys, "catalog", str(path))
+        code, out, _ = run_catalog_text(capsys, tmp_path, "[DEFAULT]\n\n" + PAIR_ENTRY.format(expected="11/56"))
+        assert [entry.name for entry in catalog.load_catalog(tmp_path / "catalog.cfg")] == ["family-4.2"]
         assert (code, out.splitlines()[-1]) == (0, "1/1 entries passed")
 
     def test_both_expectations_exit_2(self, tmp_path, capsys, monkeypatch):
         refuse_computation(monkeypatch)
-        path = tmp_path / "both.cfg"
-        path.write_text(PAIR_ENTRY.format(expected="11/56") + "expect_destabilizer = zero-section\n", encoding="utf-8")
-        code, out, err = run(capsys, "catalog", str(path))
+        code, out, err = run_catalog_text(
+            capsys, tmp_path, PAIR_ENTRY.format(expected="11/56") + "expect_destabilizer = zero-section\n"
+        )
         assert (code, out) == (2, "")
         assert "entry [family-4.2]: expect_destabilizer cannot be met at l = 2" in err
 
@@ -290,13 +280,12 @@ class TestCatalog:
     def test_wrong_kind_details(self, tmp_path, capsys, monkeypatch):
         # l fixes the kind of verdict, so an expectation of the other kind is refused at load.
         refuse_computation(monkeypatch)
-        path = tmp_path / "kinds.cfg"
-        path.write_text(
+        code, out, err = run_catalog_text(
+            capsys,
+            tmp_path,
             "[unstable]\nn = 3\nr = 3\nl = 3\nexpect_a = 1/2\n"
             "[pair]\nn = 3\nr = 2\nl = 2\nexpect_destabilizer = zero-section\n",
-            encoding="utf-8",
         )
-        code, out, err = run(capsys, "catalog", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: entry [unstable]: expect_a cannot be met at l = 3; ")
 
@@ -309,13 +298,10 @@ class TestCatalog:
             met, unmet = f"expect_a = {fields['a']}", "expect_destabilizer = zero-section"
         else:
             met, unmet = f"expect_destabilizer = {fields['destabilizer']}", "expect_a = 1/2"
-        path = tmp_path / "entry.cfg"
-        path.write_text(f"[entry]\nn = 3\nr = 3\nl = {l}\n{met}\n", encoding="utf-8")
-        code, out, _ = run(capsys, "catalog", str(path))
+        code, out, _ = run_catalog_text(capsys, tmp_path, f"[entry]\nn = 3\nr = 3\nl = {l}\n{met}\n")
         assert (code, out) == (0, f"PASS entry: {invariants.classification_text(verdict)}\n1/1 entries passed\n")
         refuse_computation(monkeypatch)
-        path.write_text(f"[entry]\nn = 3\nr = 3\nl = {l}\n{unmet}\n", encoding="utf-8")
-        code, out, err = run(capsys, "catalog", str(path))
+        code, out, err = run_catalog_text(capsys, tmp_path, f"[entry]\nn = 3\nr = 3\nl = {l}\n{unmet}\n")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: entry [entry]: {unmet.split()[0]} cannot be met at l = {l}; ")
 
@@ -336,25 +322,19 @@ class TestCatalog:
     def test_bounds_exit_2(self, tmp_path, capsys, monkeypatch, key, value, reason):
         refuse_computation(monkeypatch)
         fields = {"n": "3", "r": "2", "l": "2", "vol_v": "8", "expect_a": "11/56", key: value}
-        path = tmp_path / "big.cfg"
-        path.write_text("[big]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()), encoding="utf-8")
-        code, out, err = run(capsys, "catalog", str(path))
+        code, out, err = run_catalog_text(capsys, tmp_path, "[big]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
         assert (code, out) == (2, "")
         assert err.startswith("error: entry [big]: ") and reason in err
 
     def test_byte_order_mark_is_read(self, tmp_path, capsys):
         text = catalog.default_catalog_path().read_text(encoding="utf-8")
-        path = tmp_path / "bom.cfg"
-        path.write_text("\ufeff" + text, encoding="utf-8")
-        code, out, _ = run(capsys, "catalog", str(path))
+        code, out, _ = run_catalog_text(capsys, tmp_path, "\ufeff" + text)
         assert (code, out) == (0, run(capsys, "catalog")[1])
 
     def test_readme_example_passes(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-        path = tmp_path / "readme.cfg"
-        path.write_text(block, encoding="utf-8")
-        code, out, _ = run(capsys, "catalog", str(path))
+        code, out, _ = run_catalog_text(capsys, tmp_path, block)
         assert code == 0
         assert "PASS family-4.2" in out
 
@@ -541,9 +521,7 @@ class TestBounds:
     def test_catalog_refusal_of_long_text_keeps_stderr_short(self, tmp_path, capsys, monkeypatch, key):
         refuse_computation(monkeypatch)
         entry = {"n": "3", "r": "3", "l": "3", key: "q" * 3000}
-        path = tmp_path / "long.cfg"
-        path.write_text("[long]\n" + "".join(f"{k} = {v}\n" for k, v in entry.items()), encoding="utf-8")
-        code, out, err = run(capsys, "catalog", str(path))
+        code, out, err = run_catalog_text(capsys, tmp_path, "[long]\n" + "".join(f"{k} = {v}\n" for k, v in entry.items()))
         assert (code, out) == (2, "")
         assert err.startswith("error: entry [long]: ") and len(err) < 200
 

@@ -29,8 +29,11 @@ from oracles import (
     admissible_grid,
     binom_int,
     closed_form_vol_y,
+    coeff_power,
     coeff_product,
+    coeff_sum,
     coefficient_a_closed_form,
+    compose_affine,
     interpolate,
     naive_integral,
     profile_quadrature,
@@ -126,23 +129,6 @@ def _padded(coeffs: list[Fraction], size: int) -> list[Fraction]:
     return coeffs + [Fraction(0)] * (size - len(coeffs))
 
 
-def _summed(terms) -> list[Fraction]:
-    """The sum of (scale, coefficient list) pairs, as one coefficient list."""
-    out: list[Fraction] = []
-    for scale, coeffs in terms:
-        out = _padded(out, max(len(out), len(coeffs)))
-        for i, c in enumerate(coeffs):
-            out[i] += scale * c
-    return out
-
-
-def _power(base: list, k: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = list(coeff_product(out, base))
-    return out
-
-
 # Both certificate tests read the grids of each n, so they are computed once per n.
 @functools.cache
 def _g_polynomials(n: int) -> dict:
@@ -188,17 +174,14 @@ class TestDichotomyCertificate:
     """
 
     @staticmethod
-    def bernstein_in_w(q: list[list[Fraction]]) -> list[list[Fraction]]:
+    def bernstein_in_w(q: list[list[Fraction]]) -> list[tuple[Fraction, ...]]:
         """The Bernstein coefficients, in w of degree len(q) - 1, of
         Q(1 + u, (2 + u) w), each a coefficient list in u."""
         degree = len(q) - 1
-        # The coefficient of w^j: (2 + u)^j sum_i q[j][i] (1 + u)^i.
-        in_w = [
-            list(coeff_product(_power([2, 1], j), _summed((c, _power([1, 1], i)) for i, c in enumerate(row))))
-            for j, row in enumerate(q)
-        ]
+        # The coefficient of w^j: (2 + u)^j times q's row j at r = 1 + u.
+        in_w = [coeff_product(coeff_power([2, 1], j), compose_affine(row, 1, 1)) for j, row in enumerate(q)]
         return [
-            _summed((Fraction(binom_int(k, j), binom_int(degree, j)), in_w[j]) for j in range(k + 1))
+            coeff_sum(*((Fraction(binom_int(k, j), binom_int(degree, j)), in_w[j]) for j in range(k + 1)))
             for k in range(degree + 1)
         ]
 
@@ -247,7 +230,7 @@ class TestCoefficientA:
         rng = random.Random(16 * n)
         wide = [wide_rational(rng, Fraction(1), Fraction(4)) for _ in range(3)]
         for r in [Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 2), *wide]:
-            power = _power([r, -1], n - 1)
+            power = coeff_power([r, -1], n - 1)
             integrals = naive_integral(coeff_product([0, 1], power), 0, 1), naive_integral(power, 0, 1)
             assert coefficient_a(n, r) == coefficient_a_closed_form(n, r) == integrals[0] / (2 * integrals[1])
 

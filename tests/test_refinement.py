@@ -19,9 +19,11 @@ from oracles import (
     a_m_unfolded,
     coeff_difference,
     coeff_product,
+    compose_affine,
     interpolate,
     naive_eval,
     refinement_rows_unfolded,
+    sign_changes,
 )
 
 P2 = hilbert_projective_space(2, 1)
@@ -185,24 +187,6 @@ def error_polys(s: int, d: int) -> tuple[tuple[Fraction, ...], list[Fraction]]:
     n_poly, w_poly = interpolated_sums(s, d)
     assert (len(n_poly) - 1, len(w_poly) - 1) == (s + 1, s + 2)
     return coeff_difference(w_poly, coeff_product([0, coefficient_a(s + 1, c.r)], n_poly)), n_poly
-
-
-def compose_affine(coeffs: list[Fraction], alpha, beta) -> list[Fraction]:
-    """Coefficients of p(alpha + beta u) in u, by Horner's rule on coefficient lists."""
-    out: list[Fraction] = []
-    for c in reversed(coeffs):
-        shifted = [Fraction(0)] * (len(out) + 1)
-        for i, o in enumerate(out):
-            shifted[i] += alpha * o
-            shifted[i + 1] += beta * o
-        shifted[0] += c
-        out = shifted
-    return out
-
-
-def sign_changes(coeffs: list[Fraction]) -> int:
-    signs = [c > 0 for c in coeffs if c]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 class TestAgainstDefinition:
