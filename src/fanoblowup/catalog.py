@@ -20,7 +20,9 @@ entry may set: l = 2 reduces to a pair, so only ``expect_a``, and any other
 l is K-unstable, so only ``expect_destabilizer``; the other key is refused
 at load.  Entries without expectations are report-only.  Rationals are read
 by ``exactmath.as_rational``, with at most MAX_BITS bits above and below the
-line, and ``n`` by ``parse_integer``.  A ``;`` after a value starts a comment.
+line, and ``n`` by ``parse_integer``.  A line whose first character other
+than a blank is ``#`` or ``;`` is a comment; after a value, only ``;`` with a
+blank before it starts one, so ``n = 3 # x`` is refused.
 A ``[DEFAULT]`` section with keys is refused, since INI readers merge its
 keys into every other section; an empty one merges nothing and is ignored.
 """
@@ -94,12 +96,14 @@ def default_catalog_path() -> Path:
 
 
 def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
+    # The name as written, unless excerpt would cut it.
+    entry = f"entry [{name if len(name) <= 24 else excerpt(name)}]"
     unknown = set(section) - _KNOWN_KEYS
     if unknown:
-        raise CatalogError(f"entry [{name}]: unknown key(s) {sorted(unknown)}")
+        raise CatalogError(f"{entry}: unknown key(s) [{', '.join(map(excerpt, sorted(unknown)))}]")
     for key in ("n", "r", "l"):
         if key not in section:
-            raise CatalogError(f"entry [{name}]: missing required key '{key}'")
+            raise CatalogError(f"{entry}: missing required key '{key}'")
     try:
         construction = Construction(
             n=bounded_dim(section["n"]),
@@ -109,12 +113,12 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
         )
         expect_a = bounded_rational(section["expect_a"]) if "expect_a" in section else None
     except ValueError as exc:
-        raise CatalogError(f"entry [{name}]: {exc}") from exc
+        raise CatalogError(f"{entry}: {exc}") from exc
     # l alone decides the kind of verdict, so it rules out one expectation key.
     unmeetable = "expect_destabilizer" if construction.l == 2 else "expect_a"
     if unmeetable in section:
         raise CatalogError(
-            f"entry [{name}]: {unmeetable} cannot be met at l = {construction.l}; "
+            f"{entry}: {unmeetable} cannot be met at l = {construction.l}; "
             "l = 2 reduces to a pair (expect_a) and any other l is K-unstable (expect_destabilizer)"
         )
     expect = None if expect_a is None else ("a", str(expect_a))
@@ -124,7 +128,7 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
             expect = ("destabilizer", HorizontalDivisor(raw).value)
         except ValueError as exc:
             raise CatalogError(
-                f"entry [{name}]: expect_destabilizer must be 'zero-section' or "
+                f"{entry}: expect_destabilizer must be 'zero-section' or "
                 f"'infinity-section', got {excerpt(raw)}"
             ) from exc
     return CatalogEntry(name, construction, expect)
@@ -133,20 +137,35 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
 def load_catalog(path: str | Path) -> list[CatalogEntry]:
     """Parse a catalog file into ordered entries.
 
-    Raises CatalogError for a file that cannot be read or is not UTF-8, with
-    the parser's line information on syntax errors, and for keys in a
+    Raises CatalogError for a file that cannot be read or is not UTF-8, for
+    a syntax error, with its line number and that line, and for keys in a
     section named DEFAULT, which the INI format merges into every other entry.
+    Every text read from the file is quoted by excerpt.
     """
     import configparser  # only catalog runs parse INI; keeps it off every CLI start-up
 
     parser = configparser.ConfigParser(interpolation=None, strict=True, inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            parser.read_file(handle, source=str(path))
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
+    try:
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise CatalogError(f"catalog parse error: {exc}") from exc
+        # A ParsingError lists every malformed line, its subclasses one line,
+        # and the duplicate errors the line of the repeated name.
+        lineno = exc.errors[0][0] if type(exc) is configparser.ParsingError else exc.lineno
+        line = excerpt(text.split("\n")[lineno - 1])
+        if isinstance(exc, configparser.DuplicateOptionError):
+            reason = f"option {excerpt(exc.option)} in section {excerpt(exc.section)} already exists"
+        elif isinstance(exc, configparser.DuplicateSectionError):
+            reason = f"section {excerpt(exc.section)} already exists"
+        elif isinstance(exc, configparser.MissingSectionHeaderError):
+            reason = f"no [section] header before {line}"
+        else:
+            reason = f"cannot parse {line}"
+        raise CatalogError(f"catalog parse error: While reading from {str(path)!r} [line {lineno:2d}]: {reason}") from exc
     if parser.defaults():
         raise CatalogError(f"{path}: section [DEFAULT] is reserved in INI files; give the entry another name")
     return [_parse_entry(name, parser[name]) for name in parser.sections()]

@@ -13,7 +13,7 @@ only.  Input is bounded: --dim and the sizes of --base by catalog.MAX_DIM,
 the numerator and denominator of each rational flag by catalog.MAX_BITS
 bits, and the sum of the --m levels by MAX_M.  Exit codes: 0 success,
 1 expectation mismatch, 2 invalid input (a bound included), 3 internal fault
-of any kind, 4 the result could not be written to stdout.
+of any kind, 4 the result could not be converted to text or written to stdout.
 """
 
 import argparse
@@ -202,6 +202,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, document, lines = args.func(args)
     except ValueError as exc:
+        # Input text is refused before int() would pass the interpreter's
+        # digit limit, so the limit fires only on a result turned into text.
+        if "integer string conversion" in str(exc):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return UNWRITABLE
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
     except Exception as exc:

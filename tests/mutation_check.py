@@ -208,6 +208,16 @@ MUTANTS = [
     Mutant("B4", "cli.py", "1 <= s <= MAX_DIM and", "0 <= s <= MAX_DIM and"),
     Mutant("B5", "cli.py", "and 1 <= d <= MAX_DIM)", "and 1 <= d <= MAX_DIM + 1)"),
     Mutant("B6", "cli.py", "    if sum(map(abs, values)) > MAX_M:\n", "    if sum(map(abs, values)) > MAX_M + 1:\n"),
+    # Catalog refusals quote what they read by excerpt: a malformed line, an
+    # entry's name (cut only past 24 characters), unknown keys and repeated
+    # names; a result past the digit limit is unwritable, not invalid input.
+    Mutant("Q1", "catalog.py", 'line = excerpt(text.split("\\n")[lineno - 1])', 'line = repr(text.split("\\n")[lineno - 1])'),
+    Mutant("Q2", "catalog.py", "name if len(name) <= 24 else excerpt(name)", "name"),
+    Mutant("Q3", "catalog.py", "name if len(name) <= 24 else", "name if len(name) < 24 else"),
+    Mutant("Q4", "catalog.py", "map(excerpt, sorted(unknown))", "map(repr, sorted(unknown))"),
+    Mutant("Q5", "catalog.py", 'reason = f"section {excerpt(exc.section)}', 'reason = f"section {exc.section!r}'),
+    Mutant("Q6", "catalog.py", "option {excerpt(exc.option)} in", "option {exc.option!r} in"),
+    Mutant("W1", "cli.py", "            return UNWRITABLE\n", "            return INVALID\n"),
 ]
 
 

@@ -194,6 +194,37 @@ class TestCatalog:
         assert code == 2
         assert "line" in err and "3" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("[entry]\nn = 3\nr 2\n", 3), ("n = 3\n[entry]\n", 1), (f"[entry]\nn = 3\n{'x' * 5000}\n", 3)],
+        ids=["bad-line", "missing-header", "long-bad-line"],
+    )
+    def test_syntax_error_is_one_short_line(self, tmp_path, capsys, text, line):
+        code, out, err = run_catalog_text(capsys, tmp_path, text)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 400
+        assert f"[line {line:2d}]: " in err
+
+    LONG = "x" * 5000
+    QUOTED = f"5000 characters starting {LONG[:24]!r}"
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (f"[entry]\nn = 3\nr = 2\nl = 2\n{LONG} = 1\n", f"entry [entry]: unknown key(s) [{QUOTED}]"),
+            (f"[{LONG}]\nn = 3\n[{LONG}]\n", f"[line  3]: section {QUOTED} already exists"),
+            (f"[{LONG}]\nn = 3\nr = 2\n", f"entry [{QUOTED}]: missing required key 'l'"),
+            (f"[{'y' * 24}]\nn = 3\nr = 2\n", f"entry [{'y' * 24}]: missing required key 'l'"),
+            (f"[entry]\n{LONG} = 1\n{LONG} = 2\n", f"[line  3]: option {QUOTED} in section 'entry' already exists"),
+        ],
+        ids=["unknown-key", "duplicate-section", "entry-name", "entry-name-24", "duplicate-option"],
+    )
+    def test_long_names_keep_stderr_short(self, tmp_path, capsys, monkeypatch, text, reason):
+        refuse_computation(monkeypatch)
+        code, out, err = run_catalog_text(capsys, tmp_path, text)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 400 and reason in err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         code, _, err = run_catalog_text(capsys, tmp_path, "[entry]\nn = 3\nr = 2\nl = 2\nvolume = 1\n")
         assert code == 2
@@ -546,9 +577,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli_process(stdout, unbuffered: bool, *argv, **env) -> subprocess.CompletedProcess:
-    """Run the CLI in its own interpreter with the given stdout, buffered or not."""
+    """Run the CLI of the package under test in its own interpreter with the
+    given stdout, buffered or not."""
     base = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    base.update(PYTHONPATH=str(SRC), **env)
+    base.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), **env)
     if unbuffered:
         base["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
@@ -585,6 +617,17 @@ class TestUnwritableOutput:
         assert done.stderr.startswith("error: cannot write output: 'ascii' codec can't encode character")
         assert done.stderr.count("\n") == 1
 
+
+    def test_result_past_the_digit_limit_exits_4(self, tmp_path):
+        # Valid input whose result has more digits than the interpreter turns into text.
+        huge = "9223372036854775807/4611686018427387904"
+        path = tmp_path / "huge.cfg"
+        path.write_text(f"[huge]\nn = 64\nr = {huge}\nl = 1/3\n", encoding="utf-8")
+        for argv in (["coeff", "--dim", "64", "--index", huge], ["catalog", str(path)]):
+            done = run_cli_process(subprocess.PIPE, False, *argv, PYTHONINTMAXSTRDIGITS="640")
+            assert (done.returncode, done.stdout) == (4, ""), argv
+            assert done.stderr.startswith("error: cannot write output: Exceeds the limit (640")
+            assert done.stderr.count("\n") == 1
 
 class TestImportCost:
     def test_import_leaves_out_slow_stdlib_modules(self):

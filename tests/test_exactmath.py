@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 from decimal import Decimal
@@ -10,7 +11,16 @@ from scipy.integrate import quad
 from fanoblowup import Construction, Poly, as_rational, excerpt, hilbert_projective_space, parse_integer
 from fanoblowup.exactmath import ONE, ZERO
 
-from oracles import binom_int, coeff_difference, coeff_product, naive_eval, naive_integral
+from oracles import (
+    binom_int,
+    coeff_difference,
+    coeff_power,
+    coeff_product,
+    compose_affine,
+    naive_eval,
+    naive_integral,
+    sign_changes,
+)
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 polys_st = st.lists(fractions_st, max_size=6).map(Poly)
@@ -405,6 +415,41 @@ class TestAgainstCoefficientLists:
         diff = p - q
         assert diff.coeffs == coeff_difference(p.coeffs, q.coeffs)
         assert diff.degree < len(low)
+
+
+class TestCoefficientKit:
+    """The coefficient-list operations of oracles that the certificates rest on,
+    each against evaluation or a second route."""
+
+    @given(coeffs=st.lists(fractions_st, max_size=6), alpha=fractions_st, beta=fractions_st, u=fractions_st)
+    @example(coeffs=[Fraction(1), Fraction(-2), Fraction(1)], alpha=Fraction(1), beta=Fraction(0), u=Fraction(3))
+    def test_compose_affine_evaluates_at_the_affine_point(self, coeffs, alpha, beta, u):
+        composed = compose_affine(coeffs, alpha, beta)
+        assert naive_eval(composed, u) == naive_eval(coeffs, alpha + beta * u)
+        assert not composed or composed[-1] != 0
+
+    @given(base=st.lists(fractions_st, max_size=4), k=st.integers(0, 6), x=fractions_st)
+    @example(base=[Fraction(0), Fraction(0)], k=0, x=Fraction(2))
+    def test_coeff_power_is_repeated_product(self, base, k, x):
+        power = coeff_power(base, k)
+        assert power == functools.reduce(coeff_product, [base] * k, (Fraction(1),))
+        assert naive_eval(power, x) == naive_eval(base, x) ** k
+
+    @pytest.mark.parametrize(
+        "roots, positive",
+        [
+            ([], 0),
+            ([-1, -2, Fraction(-1, 3)], 0),
+            ([0, 1], 1),
+            ([1, 2, -3], 2),
+            ([1, 1, Fraction(1, 2)], 3),
+            ([2, -1, 3, -5, 0, Fraction(7, 4)], 3),
+        ],
+    )
+    def test_sign_changes_count_known_positive_roots(self, roots, positive):
+        # With every root real, Descartes' bound is exact.
+        coeffs = functools.reduce(coeff_product, ([-root, 1] for root in roots), (Fraction(1),))
+        assert sign_changes(coeffs) == sign_changes([-c for c in coeffs]) == positive
 
 
 class TestIntegration:

@@ -185,6 +185,11 @@ class TestDichotomyCertificate:
             for k in range(degree + 1)
         ]
 
+    @classmethod
+    def uncertified(cls, q: list[list[Fraction]], sign: int) -> list[tuple[Fraction, ...]]:
+        """The Bernstein coefficients of Q that are zero or have a coefficient of the wrong sign."""
+        return [coeffs for coeffs in cls.bernstein_in_w(q) if not any(coeffs) or any(sign * c < 0 for c in coeffs)]
+
     @pytest.mark.parametrize("n", [*range(2, 9), 10, 12, 16, 20, 24])
     def test_sign_of_each_beta_for_every_r_and_l(self, n):
         grids = _g_polynomials(n)
@@ -195,13 +200,18 @@ class TestDichotomyCertificate:
             for row in reversed(g[1:-1]):
                 q.insert(0, [c + 2 * h for c, h in zip(row, q[0])])
             assert [c + 2 * h for c, h in zip(g[0], q[0])] == [0] * (n + 1), "G does not vanish at l = 2"
-            for coeffs in self.bernstein_in_w(q):
-                assert any(coeffs) and all(sign * c >= 0 for c in coeffs), (n, d, coeffs)
+            assert self.uncertified(q, sign) == [], (n, d)
 
     @pytest.mark.parametrize("n", [*range(2, 9), 10, 12, 16, 20, 24])
     def test_betas_sum_to_zero_for_every_r_and_l(self, n):
         g = _g_polynomials(n)
         assert g[ZS] == [[-c for c in row] for row in g[IS]]
+
+    def test_certificate_rejects_a_negative_bernstein_entry(self):
+        # Q = 1 - 3l is 1 at l = 0 (w = 0) but -5 - 3u at l = 2 + u (w = 1).
+        q = [[Fraction(1)], [Fraction(-3)]]
+        assert self.bernstein_in_w(q) == [(1,), (-5, -3)]
+        assert self.uncertified(q, 1) == [(-5, -3)]
 
 
 class TestCoefficientA:

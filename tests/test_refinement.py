@@ -257,6 +257,13 @@ class TestRefinementCertificate:
     CROSSINGS = {(5, 4): (4, 6), (9, 9): (18, 27)}
     LIMITS = {(5, 3): Fraction(10, 147)}
 
+    @staticmethod
+    def sign_changes_beyond(e_poly, stride: int) -> int:
+        """The sign changes of E(stride (1 + u)) in u, which bound E's roots at m >= stride."""
+        shifted = compose_affine(e_poly, stride, stride)
+        assert shifted[0] != 0 and shifted[-1] > 0
+        return sign_changes(shifted)
+
     @pytest.mark.parametrize("s, d", BASES_TO_9)
     def test_side_of_the_limit_at_every_level(self, s, d):
         c, h, stride = base_case(s, d)
@@ -271,9 +278,7 @@ class TestRefinementCertificate:
         m = (s + 7) * stride
         assert m * (a_m(c, h, m) - a) == naive_eval(e_poly, m) / naive_eval(n_poly, m)
 
-        shifted = compose_affine(e_poly, stride, stride)
-        assert shifted[0] != 0 and shifted[-1] > 0
-        changes = sign_changes(shifted)
+        changes = self.sign_changes_beyond(e_poly, stride)
         assert changes in (0, 1), f"ps:{s}:{d} has no certificate: {changes} sign changes"
         if changes == 0:
             assert (s, d) not in self.CROSSINGS
@@ -285,6 +290,12 @@ class TestRefinementCertificate:
         assert naive_eval(e_poly, k * stride) < 0 < naive_eval(e_poly, (k + 1) * stride)
         if (s, d) in self.CROSSINGS:
             assert (k * stride, (k + 1) * stride) == self.CROSSINGS[s, d]
+
+
+    def test_certificate_rejects_two_crossings(self):
+        # E(m) = (m - 2)(m - 3) has two roots above the stride 1: E(1 + u) = 2 - 3u + u^2.
+        planted = coeff_product([-2, 1], [-3, 1])
+        assert self.sign_changes_beyond(planted, 1) == 2
 
 
 class TestMonotoneError:
