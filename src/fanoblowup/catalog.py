@@ -18,11 +18,13 @@ must reduce to a pair with exactly this coefficient) and
 must be K-unstable with exactly this destabilizer).  l decides which one an
 entry may set: l = 2 reduces to a pair, so only ``expect_a``, and any other
 l is K-unstable, so only ``expect_destabilizer``; the other key is refused
-at load.  Entries without expectations are report-only.  Rationals are read
-by ``exactmath.as_rational``, with at most MAX_BITS bits above and below the
-line, and ``n`` by ``parse_integer``.  A line whose first character other
-than a blank is ``#`` or ``;`` is a comment; after a value, only ``;`` with a
-blank before it starts one, so ``n = 3 # x`` is refused.
+at load.  Any other key is refused too, and the reason names the first three
+unknown keys, sorted, and counts the rest.  Entries without expectations are
+report-only.  Rationals are read by ``exactmath.as_rational``, with at most
+MAX_BITS bits above and below the line, and ``n`` by ``parse_integer``.  A
+line whose first character other than a blank is ``#`` or ``;`` is a
+comment; after a value, only ``;`` with a blank before it starts one, so
+``n = 3 # x`` is refused.
 A ``[DEFAULT]`` section with keys is refused, since INI readers merge its
 keys into every other section; an empty one merges nothing and is ignored.
 """
@@ -100,7 +102,10 @@ def _parse_entry(name: str, section: Mapping[str, str]) -> CatalogEntry:
     entry = f"entry [{name if len(name) <= 24 else excerpt(name)}]"
     unknown = set(section) - _KNOWN_KEYS
     if unknown:
-        raise CatalogError(f"{entry}: unknown key(s) [{', '.join(map(excerpt, sorted(unknown)))}]")
+        # The first three keys, then a count, so the reason stays one short line.
+        named = list(map(excerpt, sorted(unknown)))
+        more = f" and {len(named) - 3} more" if len(named) > 3 else ""
+        raise CatalogError(f"{entry}: unknown key(s) [{', '.join(named[:3])}]{more}")
     for key in ("n", "r", "l"):
         if key not in section:
             raise CatalogError(f"{entry}: missing required key '{key}'")

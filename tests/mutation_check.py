@@ -217,6 +217,8 @@ MUTANTS = [
     Mutant("Q4", "catalog.py", "map(excerpt, sorted(unknown))", "map(repr, sorted(unknown))"),
     Mutant("Q5", "catalog.py", 'reason = f"section {excerpt(exc.section)}', 'reason = f"section {exc.section!r}'),
     Mutant("Q6", "catalog.py", "option {excerpt(exc.option)} in", "option {exc.option!r} in"),
+    # An entry's unknown keys: the first three are named and the rest counted.
+    Mutant("Q7", "catalog.py", "', '.join(named[:3])", "', '.join(named)"),
     Mutant("W1", "cli.py", "            return UNWRITABLE\n", "            return INVALID\n"),
 ]
 

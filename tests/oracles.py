@@ -5,13 +5,36 @@ summation, never through the library's own volume-profile pipeline, so that
 the two routes stay independent.  The one exception is profile_quadrature,
 which takes volume_profile's polynomials and integrates them in floats with
 scipy: it checks the library's exact integration, not its profiles.
+
+The closed forms of vol(-K_Y), the pair (S(V_0), S(Vbar_inf)), a(n, r) and
+the hockey-stick a_m come from bench/oracle.py, loaded once by file path as
+``bench_oracle``; the benchmark checks its results against the same module,
+and test_source_guards.py keeps it free of library imports.  What stays here
+is written another way: the coefficient-list kit and ladder_top_power, the
+Chow ring of the blow-up over P^s, a_m_unfolded (all 2m + 1 rows, where
+bench's a_m folds them as the library does), the l = 0 closed forms of
+criterion 4, and float quadrature.
 """
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 from scipy.integrate import quad
 
-from fanoblowup import Construction, HorizontalDivisor, Poly, volume_profile
+from fanoblowup import Construction, HorizontalDivisor, volume_profile
+
+
+def _load_bench_oracle():
+    """bench/oracle.py as a module, without touching sys.path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_oracle = _load_bench_oracle()
 
 GRID_N = range(2, 7)
 GRID_R = [Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3)]
@@ -127,13 +150,6 @@ def closed_form_vol_x(n: int, r: Fraction, vol_v: Fraction) -> Fraction:
     return ((r + 1) ** n - (r - 1) ** n) / r ** (n - 1) * vol_v
 
 
-def closed_form_vol_y(n: int, r: Fraction, l: Fraction, vol_v: Fraction) -> Fraction:
-    """Anti-canonical volume of Y, both branches of the closed form."""
-    if l == 1:
-        return (n * r ** (n - 1) + r ** n - (r - 1) ** n) * vol_v / r ** (n - 1)
-    return ((r ** n - (r + 1 - l) ** n) / (l - 1) + r ** n - (r - 1) ** n) * vol_v / r ** (n - 1)
-
-
 def _chow_mul(a: dict, b: dict, s: int) -> dict:
     """Product of two classes of X = P(O + O(d)) over P^s, each a dict
     {(i, j): c} for c h^i zeta^j, with h^(s+1) = 0 applied."""
@@ -227,75 +243,6 @@ def chow_curve_number(s: int, d: int, l: Fraction, first, second) -> Fraction:
     a_power = {(s - 1, 0): Fraction(s + 1) ** (s - 1)}
     pulled_back = _chow_sum((1, _chow_mul(alpha, beta, s)), (-c * c2, rho))
     return _chow_integral(_chow_mul(pulled_back, a_power, s), s, d)
-
-
-def coefficient_a_closed_form(n: int, r: Fraction) -> Fraction:
-    """The paper's closed form of the l = 2 pair coefficient,
-
-        a(n,r) = (r^(n+1) - (r-1)^(n+1) - (n+1)(r-1)^n) / (2(n+1)(r^n - (r-1)^n)),
-
-    the integral ratio int_0^1 x (r-x)^(n-1) dx / (2 int_0^1 (r-x)^(n-1) dx)
-    taken by hand.  It is coefficient_a's formula over one denominator, so
-    TestCoefficientA also checks both against that ratio on coefficient lists.
-    """
-    r = Fraction(r)
-    return (r ** (n + 1) - (r - 1) ** (n + 1) - (n + 1) * (r - 1) ** n) / (2 * (n + 1) * (r ** n - (r - 1) ** n))
-
-
-def _affine_power_integral(alpha: Fraction, beta: Fraction, k: int, lo: Fraction, hi: Fraction) -> Fraction:
-    """Integral of (alpha + beta t)^k over [lo, hi], from the antiderivative
-    (alpha + beta t)^(k+1) / ((k+1) beta), or alpha^k (hi - lo) when beta = 0."""
-    if beta == 0:
-        return alpha ** k * (hi - lo)
-    return ((alpha + beta * hi) ** (k + 1) - (alpha + beta * lo) ** (k + 1)) / ((k + 1) * beta)
-
-
-def _segment_volume_integral(n: int, r: Fraction, l: Fraction, x, y, z, lo: Fraction, hi: Fraction) -> Fraction:
-    """Integral over [lo, hi] of (x V_0 + y Vbar_inf + z A)^n / vol(V), with
-    x, y, z affine pairs (constant, slope) in t.
-
-    Each ladder sum_k C(n,k) w^k z^(n-k) q^(k-1) is ((q w + z)^n - z^n) / q,
-    a difference of affine powers.  A ladder whose coefficient is zero
-    vanishes; at l = 1 (q = 0) the second ladder is n y z^(n-1), with z
-    constant wherever y is nonzero.
-    """
-    total = Fraction(0)
-    for w, q in ((x, Fraction(-1) / r), (y, (1 - l) / r)):
-        if w == (0, 0):
-            continue
-        if q == 0:
-            if z[1] != 0:
-                raise ValueError("the l = 1 rung needs a constant z")
-            total += n * z[0] ** (n - 1) * _affine_power_integral(w[0], w[1], 1, lo, hi)
-            continue
-        both = _affine_power_integral(q * w[0] + z[0], q * w[1] + z[1], n, lo, hi)
-        total += (both - _affine_power_integral(z[0], z[1], n, lo, hi)) / q
-    return total
-
-
-def s_pair_closed_form(n: int, r: Fraction, l: Fraction) -> tuple[Fraction, Fraction]:
-    """(S(V_0), S(Vbar_inf)) with every ladder term integrated in closed form.
-
-    The positive parts of -K_Y - t D, as (constant, slope) pairs for the
-    coefficients of V_0, Vbar_inf and A:
-        D = V_0:       (1-t, 1, 1) on [0, 1];  (0, 2-t, (r-(t-1)(l-1))/r) on [1, 2]
-        D = Vbar_inf:  (1, 1-t, 1) on [0, 1];  (2-t, 0, (r+1-t)/r) on [1, 2]
-    Each S is the integral over [0, 2] over vol(-K_Y) = closed_form_vol_y.
-    No Poly and no library arithmetic is used.
-    """
-    r, l = Fraction(r), Fraction(l)
-    one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
-    one_minus_t, two_minus_t = (Fraction(1), Fraction(-1)), (Fraction(2), Fraction(-1))
-    segments = {
-        "v0": [(one_minus_t, one, one), (zero, two_minus_t, (1 + (l - 1) / r, (1 - l) / r))],
-        "vinf": [(one, one_minus_t, one), (two_minus_t, zero, ((r + 1) / r, -1 / r))],
-    }
-    vol = closed_form_vol_y(n, r, l, Fraction(1))
-    s_v0, s_vinf = (
-        sum(_segment_volume_integral(n, r, l, *xyz, Fraction(lo), Fraction(lo + 1)) for lo, xyz in enumerate(segments[d])) / vol
-        for d in ("v0", "vinf")
-    )
-    return s_v0, s_vinf
 
 
 def s_zero_section_l0(n: int, r: Fraction) -> Fraction:
@@ -406,22 +353,6 @@ def a_m_unfolded(s: int, d: int, m: int) -> Fraction:
     """a_m = sum_j N_{m,j} a_{m,j} / (m sum_j N_{m,j}) over the unfolded rows."""
     rows = refinement_rows_unfolded(s, d, m)
     return Fraction(sum(n * a for _, n, a in rows), m * sum(n for _, n, _ in rows))
-
-
-def a_m_hockey_stick_d1(s: int, m: int) -> Fraction:
-    """a_m for V = P^s, L = O(1) in closed form, with h(k) = C(k+s, s) and mr = m(s+1).
-
-    The rows j = m + i (i = 1..m) and their mirrors j = m - i have degree k = mr - i,
-    so N_m = h(mr) + 2 S0 and W_m = sum_i i h(mr - i) = mr S0 - S1 with
-    S0 = sum_k h(k) and S1 = sum_k k h(k) over k = mr-m..mr-1.  The hockey stick
-    sum_{k=A..B} C(k+c, c) = C(B+c+1, c+1) - C(A+c, c+1) gives S0 at c = s, and
-    at c = s+1 gives S1 through k C(k+s, s) = (s+1) C(k+s, s+1).
-    """
-    mr = m * (s + 1)
-    lo, hi = mr - m, mr - 1
-    s0 = binom_int(hi + s + 1, s + 1) - binom_int(lo + s, s + 1)
-    s1 = (s + 1) * (binom_int(hi + s + 1, s + 2) - binom_int(lo + s, s + 2))
-    return Fraction(mr * s0 - s1, m * (binom_int(mr + s, s) + 2 * s0))
 
 
 def interpolate(points) -> list[Fraction]:

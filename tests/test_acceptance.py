@@ -29,8 +29,8 @@ from fanoblowup.cli import main as cli_main
 
 from oracles import (
     admissible_grid,
+    bench_oracle,
     closed_form_vol_x,
-    closed_form_vol_y,
     profile_quadrature,
     quad_beta_inf_normalized,
     quad_closed_form_profiles,
@@ -126,7 +126,7 @@ def test_criterion_5_volume_formulas():
     for n, r, l in admissible_grid():
         c = Construction(n, r, l, Fraction(22, 7))
         value = top_power(c, derived_classes(c).anti_k)
-        ok = ok and value.degree == 0 and value(0) == closed_form_vol_y(n, r, l, c.vol_v)
+        ok = ok and value.degree == 0 and value(0) == bench_oracle.vol_y(n, r, l, c.vol_v)
         if l == 0:
             ok = ok and value(0) == closed_form_vol_x(n, r, c.vol_v)
     _check("criterion 5: top power of -K_Y equals the closed-form volume, both branches, and vol X at l = 0", ok)
@@ -145,6 +145,14 @@ def test_criterion_6_family_314_spot_value():
     ok = ok and 9 * vol_y(c) == 32
     ok = ok and beta(c, IS) == Fraction(-15, 4) / 32 == Fraction(-15, 128)
     _check("criterion 6: (3, 3, 3) gives beta(Vbar_inf) = -15/128, factors -15/4 and 32 reproduced by quadrature at 1e-9", ok)
+
+
+def test_closed_form_oracle_pins():
+    """bench/oracle.py, which criterion 5 and other Tier-1 checks compare
+    against, holds its literature pins: the a(n, r) table, five Mori-Mukai
+    degrees, S = 7/6 on Bl_p P^2 and family 3.31's beta = -4/13.  self_check
+    raises, so this holds under python -O as well."""
+    bench_oracle.self_check()
 
 
 @pytest.mark.parametrize("oracle", [quad_closed_form_profiles, quad_beta_inf_normalized])

@@ -216,8 +216,12 @@ class TestCatalog:
             (f"[{LONG}]\nn = 3\nr = 2\n", f"entry [{QUOTED}]: missing required key 'l'"),
             (f"[{'y' * 24}]\nn = 3\nr = 2\n", f"entry [{'y' * 24}]: missing required key 'l'"),
             (f"[entry]\n{LONG} = 1\n{LONG} = 2\n", f"[line  3]: option {QUOTED} in section 'entry' already exists"),
+            (
+                "[entry]\nn = 3\nr = 2\nl = 2\n" + "".join(f"unknown_key_number_{i:04d} = 1\n" for i in range(300)),
+                "['unknown_key_number_0000', 'unknown_key_number_0001', 'unknown_key_number_0002'] and 297 more",
+            ),
         ],
-        ids=["unknown-key", "duplicate-section", "entry-name", "entry-name-24", "duplicate-option"],
+        ids=["unknown-key", "duplicate-section", "entry-name", "entry-name-24", "duplicate-option", "300-unknown-keys"],
     )
     def test_long_names_keep_stderr_short(self, tmp_path, capsys, monkeypatch, text, reason):
         refuse_computation(monkeypatch)
@@ -229,6 +233,13 @@ class TestCatalog:
         code, _, err = run_catalog_text(capsys, tmp_path, "[entry]\nn = 3\nr = 2\nl = 2\nvolume = 1\n")
         assert code == 2
         assert "unknown key" in err
+
+    @pytest.mark.parametrize("count, listed", [(3, "'k0', 'k1', 'k2']"), (4, "'k0', 'k1', 'k2'] and 1 more")], ids=["three", "four"])
+    def test_unknown_keys_past_three_are_counted(self, tmp_path, capsys, count, listed):
+        keys = "".join(f"k{i} = 1\n" for i in range(count))
+        code, _, err = run_catalog_text(capsys, tmp_path, f"[entry]\nn = 3\nr = 2\nl = 2\n{keys}")
+        assert code == 2
+        assert err == f"error: entry [entry]: unknown key(s) [{listed}\n"
 
     @pytest.mark.parametrize(
         "entry, reason",

@@ -17,9 +17,9 @@ from fanoblowup import (
 
 from oracles import (
     admissible_grid,
+    bench_oracle,
     chow_top_power,
     closed_form_vol_x,
-    closed_form_vol_y,
     ladder_top_power,
     projective_bases,
     projective_construction,
@@ -112,20 +112,20 @@ class TestTopPower:
     def test_anti_k_l2_closed_form(self):
         for n, r in [(3, Fraction(2)), (5, Fraction(5, 4)), (4, Fraction(3))]:
             c = Construction(n, r, 2, Fraction(7, 3))
-            expected = 2 * (r ** n - (r - 1) ** n) / r ** (n - 1) * c.vol_v
+            expected = bench_oracle.vol_y(n, r, Fraction(2), c.vol_v)
             assert top_power(c, derived_classes(c).anti_k) == Poly([expected])
 
     def test_anti_k_l1_closed_form(self):
         for n, r in [(2, Fraction(3)), (4, Fraction(3, 2))]:
             c = Construction(n, r, 1, Fraction(5))
-            expected = (n * r ** (n - 1) + r ** n - (r - 1) ** n) * c.vol_v / r ** (n - 1)
+            expected = bench_oracle.vol_y(n, r, Fraction(1), c.vol_v)
             assert top_power(c, derived_classes(c).anti_k) == Poly([expected])
 
     def test_anti_k_full_grid_both_branches(self):
         for n, r, l in admissible_grid():
             c = Construction(n, r, l, Fraction(22, 7))
             value = top_power(c, derived_classes(c).anti_k)
-            assert value == Poly([closed_form_vol_y(n, r, l, c.vol_v)])
+            assert value == Poly([bench_oracle.vol_y(n, r, l, c.vol_v)])
 
     def test_positive_on_grid(self):
         for n, r, l in admissible_grid():

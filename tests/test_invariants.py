@@ -27,18 +27,18 @@ from fanoblowup import (
 
 from oracles import (
     admissible_grid,
+    bench_oracle,
     binom_int,
-    closed_form_vol_y,
     coeff_power,
     coeff_product,
     coeff_sum,
-    coefficient_a_closed_form,
     compose_affine,
     interpolate,
+    ladder_top_power,
+    naive_eval,
     naive_integral,
     profile_quadrature,
     rel_err,
-    s_pair_closed_form,
     s_zero_section_l0,
 )
 
@@ -167,7 +167,8 @@ class TestDichotomyCertificate:
     (w in [0, 1)), Q_D's Bernstein coefficients in w are polynomials in u
     whose coefficients all have D's sign, none of them zero: each is then
     strictly of that sign for u > 0, and so is Q_D, a convex combination of
-    them.  vol(-K_Y) > 0 (closed_form_vol_y is a sum of positive terms), so
+    them.  vol(-K_Y) > 0 (bench/oracle.py's vol_y is vol(V) (c1 + c2), with
+    c1 = r (1 - ((r-1)/r)^n) and c2 = sum_{k<n} (1 + (1-l)/r)^k both positive), so
     beta(V_0) has the sign of l - 2, beta(Vbar_inf) the opposite one, and
     both vanish only at l = 2: V_0 destabilizes Y for l < 2, Vbar_inf for
     l > 2.
@@ -236,13 +237,14 @@ class TestCoefficientA:
     def test_matches_paper_closed_form(self, n):
         # The integral ratio int_0^1 x (r-x)^(n-1) dx / (2 int_0^1 (r-x)^(n-1) dx),
         # taken term by term on coefficient lists, shares no code with
-        # coefficient_a's closed form.
+        # coefficient_a's closed form or with bench/oracle.py's coefficient_a,
+        # which writes the same ratio over d = (r^n - (r-1)^n) / n.
         rng = random.Random(16 * n)
         wide = [wide_rational(rng, Fraction(1), Fraction(4)) for _ in range(3)]
         for r in [Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7, 2), *wide]:
             power = coeff_power([r, -1], n - 1)
             integrals = naive_integral(coeff_product([0, 1], power), 0, 1), naive_integral(power, 0, 1)
-            assert coefficient_a(n, r) == coefficient_a_closed_form(n, r) == integrals[0] / (2 * integrals[1])
+            assert coefficient_a(n, r) == bench_oracle.coefficient_a(n, r) == integrals[0] / (2 * integrals[1])
 
     def test_builds_no_poly(self, monkeypatch):
         calls = Counter()
@@ -444,7 +446,7 @@ class TestReportOnePass:
         for r in [Fraction(3, 2), Fraction(3), r_24bit]:
             vol_v = Fraction(rng.getrandbits(24) + 1, rng.getrandbits(24) + 1)
             rep = report(Construction(n, r, 2, vol_v))
-            assert rep.classification.a == coefficient_a(n, r) == coefficient_a_closed_form(n, r)
+            assert rep.classification.a == coefficient_a(n, r) == bench_oracle.coefficient_a(n, r)
             assert rep.vol_y == vol_y(Construction(n, r, 2, vol_v))
 
     @pytest.mark.parametrize("n", range(2, 17))
@@ -521,19 +523,52 @@ def large_n_points():
 
 
 class TestLargeDimensionPins:
-    """report() pinned exactly against tests/oracles.py's closed-form S, which
-    integrates each ladder term as an affine power with no Poly, across the
-    admitted range of n beyond the small grid."""
+    """report() pinned exactly against bench/oracle.py's s_pair, vol_y and
+    coefficient_a, which integrate each volume profile as a power of an affine
+    form with no Poly, across the admitted range of n beyond the small grid."""
 
     @pytest.mark.parametrize("n, r, l, vol_v", list(large_n_points()))
     def test_report_matches_closed_form_oracle(self, n, r, l, vol_v):
-        s_v0, s_vinf = s_pair_closed_form(n, r, l)
+        s_v0, s_vinf = bench_oracle.s_pair(n, r, l)
         if l == 2:
             assert s_v0 == s_vinf == 1
-            verdict = ReducesToPair(coefficient_a_closed_form(n, r))
+            verdict = ReducesToPair(bench_oracle.coefficient_a(n, r))
         elif s_v0 > 1:
             verdict = KUnstable(ZS, 1 - s_v0)
         else:
             verdict = KUnstable(IS, 1 - s_vinf)
-        expected = InvariantReport(closed_form_vol_y(n, r, l, vol_v), s_v0, s_vinf, verdict)
+        expected = InvariantReport(bench_oracle.vol_y(n, r, l, vol_v), s_v0, s_vinf, verdict)
         assert report(Construction(n, r, l, vol_v)) == expected
+
+
+class TestClosedFormOracle:
+    """bench/oracle.py's s_pair and vol_y against a second derivation that
+    shares no code with it or with the library: the positive part of
+    -K_Y - t D on each Zariski segment as (constant, slope) pairs, its volume
+    rung by rung on coefficient lists, and that volume integrated term by term."""
+
+    @staticmethod
+    def positive_parts(r: Fraction, l: Fraction) -> dict:
+        """For each divisor D, the positive part's (constant, slope) pairs on
+        V_0, Vbar_inf and A, on [0, 1] and then [1, 2]."""
+        one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+        one_minus_t, two_minus_t = (Fraction(1), Fraction(-1)), (Fraction(2), Fraction(-1))
+        return {
+            ZS: [(one_minus_t, one, one), (zero, two_minus_t, (1 + (l - 1) / r, (1 - l) / r))],
+            IS: [(one, one_minus_t, one), (two_minus_t, zero, ((r + 1) / r, -1 / r))],
+        }
+
+    def test_s_pair_and_vol_y_by_coefficient_lists(self):
+        vol_v = Fraction(22, 7)
+        for n, r, l in admissible_grid():
+            parts = self.positive_parts(r, l)
+            vol = naive_eval(ladder_top_power(n, r, l, vol_v, *parts[ZS][0]), 0)
+            s_pair = tuple(
+                sum(
+                    naive_integral(ladder_top_power(n, r, l, vol_v, *xyz), Fraction(lo), Fraction(lo + 1))
+                    for lo, xyz in enumerate(parts[d])
+                ) / vol
+                for d in (ZS, IS)
+            )
+            assert bench_oracle.vol_y(n, r, l, vol_v) == vol, (n, r, l)
+            assert bench_oracle.s_pair(n, r, l) == s_pair, (n, r, l)

@@ -15,8 +15,8 @@ from fanoblowup import (
 )
 
 from oracles import (
-    a_m_hockey_stick_d1,
     a_m_unfolded,
+    bench_oracle,
     coeff_difference,
     coeff_product,
     compose_affine,
@@ -190,7 +190,7 @@ def error_polys(s: int, d: int) -> tuple[tuple[Fraction, ...], list[Fraction]]:
 
 
 class TestAgainstDefinition:
-    """basis_profile and a_m against tests/oracles.py, which shares no code with them."""
+    """basis_profile and a_m against tests/oracles.py and bench/oracle.py, which share no code with them."""
 
     @pytest.mark.parametrize("s, d", SMALL_BASES)
     def test_every_valid_level_through_m64(self, s, d):
@@ -203,7 +203,7 @@ class TestAgainstDefinition:
             assert profile.total_sections == sum(n for _, n, _ in rows)
             assert a_m(c, h, m) == a_m_unfolded(s, d, m)
             if d == 1:
-                assert a_m(c, h, m) == a_m_hockey_stick_d1(s, m)
+                assert a_m(c, h, m) == bench_oracle.a_m_hockey_stick(s, m)
 
     @pytest.mark.parametrize("s, d", [(6, 1), (4, 2)])
     @pytest.mark.parametrize("m", [4096, 16384])
@@ -212,7 +212,7 @@ class TestAgainstDefinition:
         assert m % stride == 0
         assert a_m(c, h, m) == a_m_unfolded(s, d, m)
         if d == 1:
-            assert a_m(c, h, m) == a_m_hockey_stick_d1(s, m)
+            assert a_m(c, h, m) == bench_oracle.a_m_hockey_stick(s, m)
 
     def test_hilbert_called_once_per_distance(self):
         calls = []

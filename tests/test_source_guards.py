@@ -5,7 +5,9 @@
 - No memoization (functools.cache, lru_cache, cached_property): a measured
   speed-up must come from less work per call, not from reusing earlier calls.
 - The package is stdlib-only: every absolute import, function-local ones
-  included, names a standard-library module.
+  included, names a standard-library module.  So is ``bench/oracle.py``,
+  the closed-form oracle that Tier-1 loads, which must share no code with
+  the package.
 - No module imports a ``_``-prefixed name from another module of the
   package: a helper two modules share is public in one of them.
 - Every fixed mutant of ``tests/mutation_check.py`` still applies: its module
@@ -65,19 +67,33 @@ def test_no_memoization():
     assert found == []
 
 
-def test_imports_only_the_standard_library():
+def _foreign_imports(module: str, tree: ast.Module) -> list[str]:
+    """Every absolute import in tree, function-local ones included, of a
+    module outside the standard library."""
     foreign = []
-    for module, tree in _trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            top = [name.partition(".")[0] for name in names]
-            foreign += [f"{module}.py:{node.lineno} {name}" for name in top if name not in sys.stdlib_module_names]
-    assert foreign == []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        top = [name.partition(".")[0] for name in names]
+        foreign += [f"{module}.py:{node.lineno} {name}" for name in top if name not in sys.stdlib_module_names]
+    return foreign
+
+
+def test_imports_only_the_standard_library():
+    assert [line for module, tree in _trees() for line in _foreign_imports(module, tree)] == []
+
+
+def test_closed_form_oracle_stays_independent():
+    """bench/oracle.py is Tier-1's closed-form oracle, so it may import only
+    the standard library: nothing from fanoblowup, and no relative import."""
+    path = ROOT / "bench" / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    relative = [f"oracle.py:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert _foreign_imports("oracle", tree) + relative == []
 
 
 def test_no_module_imports_a_private_name():
